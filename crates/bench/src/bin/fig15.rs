@@ -6,8 +6,8 @@
 //! restricts order permutations to the {rlx, sc}-only subset for a fast
 //! smoke run; `--csv PATH` additionally writes the raw per-cell counts
 //! for external plotting; `--json FILE` writes the run's structured
-//! `tricheck-metrics/v1` report (phase timings and counters) for perf
-//! trajectories and CI guards.
+//! `tricheck-metrics/v1` report (phase timings, trace counters and the
+//! sweep's `SweepStats` counters) for perf trajectories and CI guards.
 
 use tricheck_core::{report, Sweep};
 use tricheck_litmus::{suite, LitmusTest, MemOrder, SlotKind};
@@ -61,7 +61,10 @@ fn main() {
         tests.len(),
         if quick { "quick" } else { "full" }
     );
-    let (results, trace) = tricheck_bench::timed_report(|| Sweep::new().run_riscv(&tests));
+    let (results, mut trace) = tricheck_bench::timed_report(|| Sweep::new().run_riscv(&tests));
+    for (name, value) in results.stats().as_counters() {
+        trace.set_counter(name, value);
+    }
 
     for family in ["wrc", "rwc", "mp", "sb", "iriw"] {
         println!("{}", report::family_chart(&results, family));

@@ -64,7 +64,7 @@ use tricheck_litmus::{
 };
 use tricheck_rel::ir::{AxiomKind, BaseRelations, ModelIr, RelExpr, SetExpr};
 use tricheck_rel::{
-    linear_extensions, BindingPool, CompiledModel, EvalScratch, EventSet, Relation,
+    linear_extensions, BindingPool, CompiledModel, EvalScratch, EventSet, Prelude, Relation,
 };
 
 /// Why an execution is inconsistent under C11.
@@ -171,15 +171,7 @@ impl C11Model {
     #[must_use]
     pub fn compiled() -> &'static CompiledModel {
         static COMPILED: OnceLock<CompiledModel> = OnceLock::new();
-        COMPILED.get_or_init(|| CompiledModel::compile(Self::ir(), &["po", "rmw", "init"]))
-    }
-
-    /// The process-unique id of the compiled C11 kernel (the key of
-    /// per-space prelude caches and the unit of `--cache-stats` kernel
-    /// counting).
-    #[must_use]
-    pub fn kernel_id(&self) -> u64 {
-        Self::compiled().kernel_id()
+        COMPILED.get_or_init(|| CompiledModel::compile(&[Self::ir()], &["po", "rmw", "init"]))
     }
 
     /// Checks consistency of one candidate execution through the
@@ -231,7 +223,24 @@ impl C11Model {
     /// over a shared space.
     #[must_use]
     pub fn permits_target(&self, test: &LitmusTest) -> bool {
-        ExecutionSpace::witness_search(test.program(), test.target(), |e| self.consistent(e))
+        ExecutionSpace::witness_search(test.program(), test.target(), Self::stream())
+    }
+
+    /// The compiled predicate for one streamed enumeration of a single
+    /// program: the kernel prelude is evaluated once, on the first
+    /// candidate judged, and replayed for the rest — its bases (`po`,
+    /// `rmw`, `init`) are the program's, shared by every candidate.
+    fn stream() -> impl FnMut(&Execution<MemOrder>) -> bool {
+        let compiled = Self::compiled();
+        let mut stream: Option<(Prelude, EvalScratch)> = None;
+        move |exec: &Execution<MemOrder>| {
+            let binding = C11Binding::new(exec);
+            let (prelude, scratch) =
+                stream.get_or_insert_with(|| (compiled.prelude(&binding), EvalScratch::default()));
+            compiled
+                .check_with_scratch(prelude, &binding, scratch)
+                .is_ok()
+        }
     }
 
     /// Whether `target` is permitted, judged over a shared
@@ -258,7 +267,7 @@ impl C11Model {
     /// [`ConsistencyModel::allowed_outcomes`] over a shared space.
     #[must_use]
     pub fn permitted_outcomes(&self, test: &LitmusTest) -> BTreeSet<Outcome> {
-        outcome_set(test.program(), test.observed(), |e| self.consistent(e))
+        outcome_set(test.program(), test.observed(), Self::stream())
     }
 
     /// The full permitted-outcome set, judged over a shared
@@ -303,8 +312,8 @@ impl ConsistencyModel for C11Model {
     // The space-judged paths stream the space's columnar views through
     // `CompiledModel::check_batch`: one cursor rebind per candidate (no
     // per-candidate `Execution` clone, `fr` served from the arena's
-    // derived column) and one replay of the kernel's space-invariant
-    // prelude per stream from the space's per-kernel cache.
+    // derived column) and one evaluation of the kernel's space-invariant
+    // prelude per stream.
 
     fn permits(&self, space: &ExecutionSpace<MemOrder>, target: &Outcome) -> bool {
         let compiled = Self::compiled();

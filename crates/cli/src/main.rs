@@ -62,7 +62,7 @@
 //!          --metrics-json FILE  write the structured sweep metrics report
 //!                               (tricheck-metrics/v1 JSON: per-phase
 //!                               timings with p50/p95/max, counters,
-//!                               per-stack and per-worker breakdowns)
+//!                               per-group and per-worker breakdowns)
 //!          --progress           live progress line on stderr (tests
 //!                               done/total, current phase, ETA); stdout
 //!                               output is untouched
@@ -114,6 +114,7 @@ const USAGE: &str = "usage:
   tricheck sweep --list-models [--stack FILE]
   tricheck file PATH [--model M] [--isa base|base+a] [--spec curr|ours]
   tricheck lint FILE [--json] [--deny-warnings]
+  tricheck help | --help | -h
 
 models: WR rWR rWM rMM nWR nMM A9like (default nMM), or a path to a
         herd-style model file (models/x86-tso.cat is a worked example);
@@ -447,6 +448,13 @@ fn format_c11_program(test: &LitmusTest) -> String {
 }
 
 fn run(args: &[String]) -> Result<u8, String> {
+    // `help`, `--help` and `-h` print the usage and succeed, with or
+    // without a command (`tricheck sweep --help`).
+    if args.first().is_some_and(|a| a == "help") || args.iter().any(|a| a == "--help" || a == "-h")
+    {
+        println!("{USAGE}");
+        return Ok(0);
+    }
     let (positional, opts) = parse_options(args)?;
     let mut pos = positional.into_iter();
     let command = pos.next().map(String::as_str).ok_or("no command given")?;
@@ -1208,6 +1216,13 @@ mod tests {
     fn run_rejects_unknown_commands() {
         assert!(run(&strings(&["frobnicate"])).is_err());
         assert!(run(&[]).is_err());
+    }
+
+    #[test]
+    fn help_prints_the_usage_and_succeeds() {
+        for args in [&["--help"][..], &["-h"], &["help"], &["sweep", "--help"]] {
+            assert_eq!(run(&strings(args)), Ok(0), "{args:?}");
+        }
     }
 
     /// The committed whole-stack definition file, and its bare-model twin.

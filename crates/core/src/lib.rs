@@ -22,7 +22,7 @@
 //! the architecture): C11 verdicts are computed once per test,
 //! compilation once per (test, mapping), and candidate-execution
 //! enumeration once per distinct compiled program, with a work-stealing
-//! scheduler fanning (test × stack) items over the shared caches.
+//! scheduler fanning (test × mapping group) items over the shared caches.
 //! [`SweepResults::stats`] exposes the counters that prove it.
 //! [`Sweep::run_matrix`](runner::Sweep::run_matrix) is the generic
 //! engine — it takes any list of [`MatrixStack`]s keyed by [`StackKey`];

@@ -7,8 +7,8 @@
 //! A sweep evaluates every litmus test against a *matrix* of full-stack
 //! model cells. [`Sweep::run_matrix`] is the generic engine: it takes an
 //! arbitrary list of [`MatrixStack`]s — each a row key, a compiler
-//! mapping, and a µarch model — and schedules the (test × stack) items
-//! over shared caches. The paper's two studies are thin instantiations:
+//! mapping, and a µarch model — and schedules (test × mapping group)
+//! items over shared caches. The paper's two studies are thin instantiations:
 //!
 //! - [`Sweep::run_riscv`] — Figure 15's 28 cells (2 RISC-V ISAs × 2 spec
 //!   versions × 7 µarch models, with the matching Table 2/3 mapping);
@@ -33,14 +33,30 @@
 //!    full-outcome mode the space's cached outcome partition is shared
 //!    the same way.
 //!
-//! Work is scheduled as (test × stack) items over a work-stealing pool:
-//! each worker owns a contiguous chunk of items and, when drained, steals
-//! from the fullest remaining chunk. Items are laid out test-major so one
-//! test's cells are processed close together while its compiled programs
-//! and spaces are hot. `SweepOptions::threads == 1` bypasses the pool
-//! entirely for a fully deterministic serial run; the parallel path
-//! produces bit-identical [`SweepResults`] regardless (results are
-//! written by item index and aggregated in a fixed order).
+//! # The work unit: (test, mapping group)
+//!
+//! The stacks sharing one compiler mapping form a **mapping group** (the
+//! seven Table 7 models of one Figure 15 (ISA, spec version) column).
+//! Every model of a group judges the same compiled program, so the
+//! group is judged together: work is scheduled as (test × group) items,
+//! and each item does one C11 lookup, one compiled-program lookup, one
+//! space lookup, one fused judgement and one space release for all of
+//! the group's models. The fused judgement ([`FusedJudge`]) runs a
+//! multi-output kernel — the group's models lowered into one
+//! hash-consed program, compiled once per sweep per group — that
+//! evaluates the models' shared relations and axioms once per
+//! candidate and returns a verdict bitmask, one bit per model. Results
+//! still land in test-major `t * stacks + s` slots, so the per-item
+//! layer ([`MatrixItems`], [`results_from_items`]) is unchanged.
+//!
+//! Items are dealt over a work-stealing pool: each worker owns a
+//! contiguous chunk of items and, when drained, steals from the fullest
+//! remaining chunk. Items are laid out test-major so one test's groups
+//! are processed close together while its compiled programs and spaces
+//! are hot. `SweepOptions::threads == 1` bypasses the pool entirely for
+//! a fully deterministic serial run; the parallel path produces
+//! bit-identical [`SweepResults`] regardless (results are written by
+//! slot index and aggregated in a fixed order).
 //!
 //! [`SweepResults::stats`] exposes the cache counters; the engine
 //! equivalence tests assert `compile_calls == tests × mappings` and
@@ -53,12 +69,13 @@
 //! Two extensions widen the engine beyond one process lifetime:
 //!
 //! - **Space-sharing policy** ([`SpaceSharing`]): materializing shared
-//!   spaces only pays off when enough models judge each program.
-//!   [`SpaceSharing::Auto`] materializes at or above
-//!   [`SHARING_BREAK_EVEN`] models per mapping (the Figure 15 matrix)
-//!   and takes the one-shot streaming paths below it (the 4-cell Power
-//!   matrix) — bit-identical rows either way, pinned by
-//!   `tests/power_equivalence.rs`.
+//!   spaces only pays off when enough models judge each program. The
+//!   break-even is decided per group: [`SpaceSharing::Auto`] gives a
+//!   group of at least [`SHARING_BREAK_EVEN`] models (a Figure 15
+//!   column) shared spaces and a fused judge, while a smaller group (a
+//!   Power or x86 mapping, with two models or one) loops its models over
+//!   the one-shot streaming paths — bit-identical rows either way,
+//!   pinned by `tests/power_equivalence.rs`.
 //! - **Persistence** ([`SpaceStore`], implemented on disk by
 //!   `tricheck-dist`): with a store attached, C11 verdicts and
 //!   materialized spaces are loaded instead of recomputed and written
@@ -78,8 +95,9 @@ use tricheck_compiler::{
     PowerSyncStyle, X86MappingStyle,
 };
 use tricheck_isa::{HwAnnot, RiscvIsa, SpecVersion};
-use tricheck_litmus::{ExecutionSpace, LitmusTest, Outcome};
-use tricheck_uarch::UarchModel;
+use tricheck_litmus::{outcome_set, Execution, ExecutionSpace, LitmusTest, Outcome};
+use tricheck_rel::CompiledModel;
+use tricheck_uarch::{FusedJudge, JudgeWork, UarchModel};
 
 use crate::store::{C11Cached, SpaceStore};
 use crate::verdict::{Classification, TestResult};
@@ -105,18 +123,19 @@ pub enum OutcomeMode {
 ///
 /// Materializing a program's matching set (or outcome partition) in a
 /// shared [`ExecutionSpace`] pays off when several model cells judge the
-/// same program — the Figure 15 matrix amortizes each materialization
-/// over 7 models per mapping. A small matrix like the §7 Power study
-/// (2 models per mapping) has nothing to amortize, and the one-shot
-/// streaming paths (short-circuiting witness search / streaming outcome
-/// enumeration) are strictly cheaper. Both paths produce bit-identical
-/// rows; only the cost profile and [`SweepStats`] space counters differ.
+/// same program — a Figure 15 mapping group amortizes each
+/// materialization over 7 models through one fused judgement. A small
+/// group like a §7 Power mapping's (2 models) has nothing to amortize,
+/// and the one-shot streaming paths (short-circuiting witness search /
+/// streaming outcome enumeration) are strictly cheaper. Both paths
+/// produce bit-identical rows; only the cost profile and [`SweepStats`]
+/// space counters differ.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Default)]
 pub enum SpaceSharing {
     /// Materialize shared spaces when a [`SpaceStore`] is attached
     /// (persisted views must exist to be saved, and warm loads make
-    /// sharing free) or when the matrix averages at least
-    /// [`SHARING_BREAK_EVEN`] models per mapping; stream otherwise.
+    /// sharing free) or for a mapping group of at least
+    /// [`SHARING_BREAK_EVEN`] models; stream otherwise.
     #[default]
     Auto,
     /// Always materialize shared spaces (the pre-break-even behaviour;
@@ -128,12 +147,11 @@ pub enum SpaceSharing {
     Never,
 }
 
-/// The minimum average number of model cells per mapping at which
-/// [`SpaceSharing::Auto`] materializes shared execution spaces: below
-/// this, per-query streaming wins (the ROADMAP's "matching-mode
-/// short-circuit for small matrices"). The Figure 15 matrix averages 7
-/// models per mapping (shared); the 4-cell Power matrix averages 2
-/// (streamed).
+/// The minimum number of models in a mapping group at which
+/// [`SpaceSharing::Auto`] gives the group shared execution spaces and a
+/// fused judge: below this, per-model streaming wins. A Figure 15
+/// mapping group has 7 models (shared); a Power mapping's has 2 and an
+/// x86 mapping's 1 (streamed).
 pub const SHARING_BREAK_EVEN: usize = 3;
 
 /// Options controlling a sweep.
@@ -327,11 +345,13 @@ pub struct SweepStats {
     pub c11_evaluations: usize,
     /// Compilations performed — exactly one per (test, mapping) pair.
     pub compile_calls: usize,
-    /// Cell visits that reused an already-compiled program.
+    /// Cell visits that reused an already-compiled program. A group
+    /// judging shared spaces looks its program up once per test for all
+    /// of its cells, so every cell after the first is a reuse.
     pub compile_cache_hits: usize,
     /// Distinct compiled programs (execution spaces created).
     pub distinct_programs: usize,
-    /// Cell visits served by an existing execution space, plus
+    /// (test, group) visits served by an existing execution space, plus
     /// within-space reuse of materialized enumerations.
     pub space_cache_hits: usize,
     /// Enumeration passes actually run across all spaces — equals
@@ -341,16 +361,21 @@ pub struct SweepStats {
     /// enumerations (zero when [`SweepOptions::pruning`] is off or no
     /// spaces were materialized).
     pub candidates_pruned: usize,
-    /// Distinct compiled model kernels across the sweep's cells — each
-    /// µarch model instance lowers its IR to one fused bitset kernel, so
-    /// a single-process sweep reports exactly one kernel per stack
-    /// (sharded runs sum their per-process counts).
+    /// Model kernels judging the sweep's cells — one per distinct stack
+    /// model, whether it is lowered alone or as one output of its
+    /// group's fused kernel (sharded runs sum their per-process counts).
     pub compiled_kernels: usize,
-    /// Candidate judgements that replayed a space-cached kernel prelude
-    /// (the space-invariant inputs evaluated once per program).
+    /// µarch candidate judgements that reused their stream's kernel
+    /// prelude instead of evaluating one: a stream's judgements after
+    /// its first. Always zero on the streaming path, where every
+    /// one-shot judgement evaluates its own prelude.
     pub prelude_hits: usize,
-    /// Kernel preludes evaluated across all spaces — at most one per
-    /// (space, kernel) pair.
+    /// µarch kernel preludes evaluated: one per judging stream, i.e. at
+    /// most one per (test, group) visit of a group judging shared
+    /// spaces (per full-outcome space, or per non-empty matching view),
+    /// and one per candidate judged on the streaming path.
+    /// `prelude_hits + prelude_misses` is the number of µarch candidate
+    /// judgements.
     pub prelude_misses: usize,
 }
 
@@ -474,12 +499,47 @@ pub fn results_from_items(
     SweepResults { rows, stats }
 }
 
-/// One scheduled cell of a sweep: a matrix stack plus its index into the
+/// One cell of a sweep: a matrix stack plus its index into the
 /// deduplicated mapping list.
 struct Cell<'a, 'm> {
     mapping_idx: usize,
     mapping: &'m dyn Mapping,
     model: &'a UarchModel,
+}
+
+/// One mapping group of a sweep — cells sharing a compiler mapping,
+/// judged together per test (see the [module docs](self)).
+struct Group<'a, 'm> {
+    mapping_idx: usize,
+    mapping: &'m dyn Mapping,
+    /// The group's cells as (matrix column, model), in matrix order.
+    cells: Vec<(usize, &'a UarchModel)>,
+    /// The fused kernel of the group's models when the group judges
+    /// shared spaces; `None` when it streams.
+    judge: Option<FusedJudge>,
+}
+
+impl<'a, 'm> Group<'a, 'm> {
+    /// Groups `cells` by mapping, in order of first appearance. A
+    /// mapping with more models than one kernel judges is split.
+    fn of(cells: &[Cell<'a, 'm>]) -> Vec<Self> {
+        let mut groups: Vec<Group<'a, 'm>> = Vec::new();
+        for (s, cell) in cells.iter().enumerate() {
+            let open = groups.iter_mut().rev().find(|g| {
+                g.mapping_idx == cell.mapping_idx && g.cells.len() < CompiledModel::MAX_MODELS
+            });
+            match open {
+                Some(group) => group.cells.push((s, cell.model)),
+                None => groups.push(Group {
+                    mapping_idx: cell.mapping_idx,
+                    mapping: cell.mapping,
+                    cells: vec![(s, cell.model)],
+                    judge: None,
+                }),
+            }
+        }
+        groups
+    }
 }
 
 /// One entry of the sweep's space cache: the shared space plus, when it
@@ -508,11 +568,9 @@ struct ReclaimedSpaces {
     enumerations: usize,
     cache_hits: usize,
     candidates_pruned: usize,
-    prelude_hits: usize,
-    prelude_misses: usize,
 }
 
-/// The concurrent caches shared by every (test × cell) work item.
+/// The concurrent caches shared by every (test × group) work item.
 struct SweepCache<'t> {
     tests: &'t [LitmusTest],
     n_mappings: usize,
@@ -530,7 +588,7 @@ struct SweepCache<'t> {
     /// structurally-distinct program sharing a fingerprint, so a hash
     /// collision degrades to a linear probe instead of a wrong verdict.
     spaces: Mutex<HashMap<u64, Vec<CachedSpace>>>,
-    /// Remaining (test × cell) visits per program fingerprint, set by
+    /// Remaining (test × group) visits per program fingerprint, set by
     /// the reclaim pre-pass in [`Sweep::run_cells`]. Present only when
     /// eager space reclamation is on (shared spaces, no store to
     /// persist them to).
@@ -541,6 +599,8 @@ struct SweepCache<'t> {
     compile_calls: AtomicUsize,
     compile_cache_hits: AtomicUsize,
     space_lookup_hits: AtomicUsize,
+    prelude_hits: AtomicUsize,
+    prelude_misses: AtomicUsize,
 }
 
 impl<'t> SweepCache<'t> {
@@ -569,6 +629,8 @@ impl<'t> SweepCache<'t> {
             compile_calls: AtomicUsize::new(0),
             compile_cache_hits: AtomicUsize::new(0),
             space_lookup_hits: AtomicUsize::new(0),
+            prelude_hits: AtomicUsize::new(0),
+            prelude_misses: AtomicUsize::new(0),
         }
     }
 
@@ -717,8 +779,6 @@ impl<'t> SweepCache<'t> {
                 reclaimed.enumerations += s.enumerations;
                 reclaimed.cache_hits += s.cache_hits;
                 reclaimed.candidates_pruned += s.candidates_pruned;
-                reclaimed.prelude_hits += s.prelude_hits;
-                reclaimed.prelude_misses += s.prelude_misses;
             }
         }
         drop(bucket);
@@ -754,53 +814,117 @@ impl<'t> SweepCache<'t> {
         }
     }
 
-    /// Runs one (test, cell) work item through Steps 1–4.
+    /// Runs one (test, group) work item through Steps 1–4, handing each
+    /// of the group's cells its result via `emit(matrix column, result)`
+    /// (`None` if the mapping cannot compile the test).
     ///
-    /// `share_spaces` selects the enumeration mode: a multi-cell sweep
-    /// materializes each program's matching set (or outcome partition)
-    /// once in a shared space, amortized across every model judging it,
-    /// while a single-cell run has nothing to amortize and keeps the
-    /// one-shot paths (short-circuiting witness search / streaming
-    /// outcome enumeration).
-    fn process(&self, t: usize, cell: &Cell<'_, '_>, share_spaces: bool) -> Option<TestResult> {
+    /// A group with a fused judge makes one space lookup and one fused
+    /// judgement for all of its models; a streaming group (below the
+    /// sharing break-even) has nothing to amortize and loops its models
+    /// over the one-shot paths (short-circuiting witness search /
+    /// streaming outcome enumeration).
+    fn process(
+        &self,
+        t: usize,
+        group: &Group<'_, '_>,
+        mut emit: impl FnMut(usize, Option<TestResult>),
+    ) {
         // Step 1 before Step 2, so `c11_evaluations == tests` holds even
         // for a test no mapping can compile (the naive path evaluates
         // every test's C11 verdict too).
         let entry = self.c11_entry(t);
-        let Ok(compiled) = self.compiled(t, cell.mapping_idx, cell.mapping) else {
-            return None; // the paper's suite always compiles
+        let test = &self.tests[t];
+        let Some(judge) = &group.judge else {
+            for &(s, model) in &group.cells {
+                let compiled = self.compiled(t, group.mapping_idx, group.mapping);
+                emit(
+                    s,
+                    compiled.ok().map(|c| self.stream(test, entry, &c, model)),
+                );
+            }
+            return;
         };
+        let compiled = self.compiled(t, group.mapping_idx, group.mapping);
+        // One lookup serves the whole group: every cell after the first
+        // reuses the program it returned.
+        self.compile_cache_hits
+            .fetch_add(group.cells.len() - 1, Ordering::Relaxed);
+        let Ok(compiled) = compiled else {
+            // The paper's suite always compiles.
+            for &(s, _) in &group.cells {
+                emit(s, None);
+            }
+            return;
+        };
+        let (space, fingerprint) = self.space_for(&compiled);
+        let mut work = JudgeWork::default();
         match entry {
             C11Cached::Target(permitted) => {
-                let observable = if share_spaces {
-                    let (space, fingerprint) = self.space_for(&compiled);
-                    let observable = cell.model.observes_in(&space, compiled.target());
-                    self.release_space(fingerprint, space);
-                    observable
-                } else {
-                    cell.model.observes(compiled.program(), compiled.target())
-                };
-                Some(TestResult::new(&self.tests[t], *permitted, observable))
+                let observable = judge.observes_in(&space, compiled.target(), &mut work);
+                for (k, &(s, _)) in group.cells.iter().enumerate() {
+                    let observable = observable >> k & 1 == 1;
+                    emit(s, Some(TestResult::new(test, *permitted, observable)));
+                }
             }
             C11Cached::Full(permitted) => {
-                let observable = if share_spaces {
-                    let (space, fingerprint) = self.space_for(&compiled);
-                    let observable = cell
-                        .model
-                        .observable_outcomes_in(&space, compiled.observed());
-                    self.release_space(fingerprint, space);
-                    observable
-                } else {
-                    cell.model
-                        .observable_outcomes(compiled.program(), compiled.observed())
-                };
-                let classification = classify_sets(permitted, &observable);
-                Some(TestResult::from_classification(
-                    &self.tests[t],
-                    classification,
-                ))
+                let observable =
+                    judge.observable_outcomes_in(&space, compiled.observed(), &mut work);
+                for (&(s, _), observable) in group.cells.iter().zip(&observable) {
+                    let classification = classify_sets(permitted, observable);
+                    emit(
+                        s,
+                        Some(TestResult::from_classification(test, classification)),
+                    );
+                }
             }
         }
+        self.release_space(fingerprint, space);
+        self.count_streams(work);
+    }
+
+    /// One model's one-shot verdict on a compiled test, streaming the
+    /// enumeration without materializing a space.
+    fn stream(
+        &self,
+        test: &LitmusTest,
+        entry: &C11Cached,
+        compiled: &CompiledTest,
+        model: &UarchModel,
+    ) -> TestResult {
+        let mut judged = 0;
+        let mut consistent = |exec: &Execution<HwAnnot>| {
+            judged += 1;
+            model.consistent(exec)
+        };
+        let result = match entry {
+            C11Cached::Target(permitted) => {
+                let observable = ExecutionSpace::witness_search(
+                    compiled.program(),
+                    compiled.target(),
+                    &mut consistent,
+                );
+                TestResult::new(test, *permitted, observable)
+            }
+            C11Cached::Full(permitted) => {
+                let observable =
+                    outcome_set(compiled.program(), compiled.observed(), &mut consistent);
+                TestResult::from_classification(test, classify_sets(permitted, &observable))
+            }
+        };
+        // Every one-shot judgement evaluates its own kernel prelude.
+        self.count_streams(JudgeWork {
+            streams: judged,
+            judged,
+        });
+        result
+    }
+
+    /// Adds one item's judging work to the prelude counters.
+    fn count_streams(&self, work: JudgeWork) {
+        self.prelude_misses
+            .fetch_add(work.streams, Ordering::Relaxed);
+        self.prelude_hits
+            .fetch_add(work.judged - work.streams, Ordering::Relaxed);
     }
 
     /// Drains the cache into sweep-level statistics.
@@ -810,8 +934,6 @@ impl<'t> SweepCache<'t> {
         let mut distinct_programs = reclaimed.distinct_programs;
         let mut space_enumerations = reclaimed.enumerations;
         let mut candidates_pruned = reclaimed.candidates_pruned;
-        let mut prelude_hits = reclaimed.prelude_hits;
-        let mut prelude_misses = reclaimed.prelude_misses;
         let mut space_cache_hits =
             self.space_lookup_hits.load(Ordering::Relaxed) + reclaimed.cache_hits;
         for entry in spaces.values().flatten() {
@@ -820,14 +942,13 @@ impl<'t> SweepCache<'t> {
             space_enumerations += s.enumerations;
             space_cache_hits += s.cache_hits;
             candidates_pruned += s.candidates_pruned;
-            prelude_hits += s.prelude_hits;
-            prelude_misses += s.prelude_misses;
         }
-        let compiled_kernels = cells
-            .iter()
-            .map(|c| c.model.kernel_id())
-            .collect::<BTreeSet<_>>()
-            .len();
+        let mut models: Vec<&UarchModel> = Vec::new();
+        for cell in cells {
+            if !models.iter().any(|m| std::ptr::eq(*m, cell.model)) {
+                models.push(cell.model);
+            }
+        }
         SweepStats {
             tests: self.tests.len(),
             cells: cells.len(),
@@ -838,9 +959,9 @@ impl<'t> SweepCache<'t> {
             space_cache_hits,
             space_enumerations,
             candidates_pruned,
-            compiled_kernels,
-            prelude_hits,
-            prelude_misses,
+            compiled_kernels: models.len(),
+            prelude_hits: self.prelude_hits.load(Ordering::Relaxed),
+            prelude_misses: self.prelude_misses.load(Ordering::Relaxed),
         }
     }
 }
@@ -896,8 +1017,7 @@ impl Sweep {
             mapping,
             model,
         }];
-        tricheck_trace::set_keys([format!("{}/{}", mapping.name(), model.name())]);
-        let (results, _) = self.run_cells(tests, &cells, 1);
+        let (results, _) = self.run_cells(tests, &cells, 1, |_| mapping.name().to_string());
         results.into_iter().flatten().collect()
     }
 
@@ -958,17 +1078,10 @@ impl Sweep {
                 }
             })
             .collect();
-        // Label the per-stack latency histograms; the iterator is only
-        // consumed when a metrics session is collecting.
-        tricheck_trace::set_keys(stacks.iter().map(|stack| {
-            format!(
-                "{}/{}/{}",
-                stack.key.isa_label(),
-                stack.key.variant_label(),
-                stack.model.name()
-            )
-        }));
-        let (results, stats) = self.run_cells(tests, &cells, mappings.len());
+        let (results, stats) = self.run_cells(tests, &cells, mappings.len(), |s| {
+            let key = stacks[s].key;
+            format!("{}/{}", key.isa_label(), key.variant_label())
+        });
         // Reducing 20k+ results to bare classifications drops every
         // per-item `TestResult` (and its heap data) in one pass —
         // teardown work, like freeing the space cache below.
@@ -1057,14 +1170,17 @@ impl Sweep {
         self.run_matrix_naive(tests, &x86_stacks())
     }
 
-    /// Processes every (test × cell) item over the shared caches and the
-    /// work-stealing pool, returning per-item results (test-major) plus
-    /// cache statistics.
+    /// Processes every (test × mapping group) item over the shared caches
+    /// and the work-stealing pool, returning per-cell results
+    /// (test-major, `t * cells.len() + s`) plus cache statistics.
+    /// `label(s)` names the group whose first cell is matrix column `s`
+    /// in the trace's per-group latency table.
     fn run_cells(
         &self,
         tests: &[LitmusTest],
         cells: &[Cell<'_, '_>],
         n_mappings: usize,
+        label: impl Fn(usize) -> String,
     ) -> (Vec<Option<TestResult>>, SweepStats) {
         let store = self.options.store.as_deref();
         let cache = SweepCache::new(
@@ -1075,37 +1191,44 @@ impl Sweep {
             store,
         );
         let n_cells = cells.len();
-        let n_items = tests.len() * n_cells;
-        let results: Vec<OnceLock<Option<TestResult>>> =
-            (0..n_items).map(|_| OnceLock::new()).collect();
+        let results: Vec<OnceLock<Option<TestResult>>> = (0..tests.len() * n_cells)
+            .map(|_| OnceLock::new())
+            .collect();
 
         // Shared-space materialization amortizes over the models judging
-        // each program; below the break-even (and with no store to feed
-        // or exploit) the one-shot streaming paths are cheaper. A single
-        // cell never shares — there is no cross-model reuse at all.
-        let share_spaces = match self.options.space_sharing {
-            SpaceSharing::Always => true,
-            SpaceSharing::Never => false,
-            SpaceSharing::Auto => {
-                store.is_some() || (n_cells > 1 && n_cells / n_mappings >= SHARING_BREAK_EVEN)
+        // each program, so the break-even is decided per group: below it
+        // (and with no store to feed or exploit) the one-shot streaming
+        // paths are cheaper. Sharing groups compile their fused kernel
+        // once, here.
+        let mut groups = Group::of(cells);
+        for group in &mut groups {
+            let share = match self.options.space_sharing {
+                SpaceSharing::Always => true,
+                SpaceSharing::Never => false,
+                SpaceSharing::Auto => store.is_some() || group.cells.len() >= SHARING_BREAK_EVEN,
+            };
+            if share {
+                let models: Vec<&UarchModel> = group.cells.iter().map(|&(_, m)| m).collect();
+                group.judge = Some(FusedJudge::new(&models));
             }
-        };
+        }
         // Eager space reclamation: with shared spaces and no store to
         // persist them to, every space is dead the moment its last
         // visitor finishes — and the sweep knows exactly how many
         // visitors each program gets. Precompile the (test × mapping)
-        // grid (the same compilations the cells would otherwise do
-        // lazily, so `compile_calls` is unchanged; the cells' lookups
-        // all become cache hits) to count visits per fingerprint;
-        // `release_space` then frees each space right after its final
-        // use, while its memory is still warm in cache, instead of
-        // cold-walking thousands of spaces in one teardown burst.
-        if share_spaces && store.is_none() {
-            let mut cells_per_mapping = vec![0usize; n_mappings];
+        // grid of the sharing groups (the same compilations the items
+        // would otherwise do lazily, so `compile_calls` is unchanged;
+        // the items' lookups all become cache hits) to count visits per
+        // fingerprint; `release_space` then frees each space right after
+        // its final use, while its memory is still warm in cache,
+        // instead of cold-walking thousands of spaces in one teardown
+        // burst.
+        if store.is_none() && groups.iter().any(|g| g.judge.is_some()) {
+            let mut visits_per_program = vec![0usize; n_mappings];
             let mut mapping_reps: Vec<Option<&dyn Mapping>> = vec![None; n_mappings];
-            for cell in cells {
-                cells_per_mapping[cell.mapping_idx] += 1;
-                mapping_reps[cell.mapping_idx].get_or_insert(cell.mapping);
+            for group in groups.iter().filter(|g| g.judge.is_some()) {
+                visits_per_program[group.mapping_idx] += 1;
+                mapping_reps[group.mapping_idx].get_or_insert(group.mapping);
             }
             let mut visits: HashMap<u64, usize> = HashMap::new();
             for t in 0..tests.len() {
@@ -1114,7 +1237,7 @@ impl Sweep {
                     if let Ok(compiled) = cache.compiled(t, m, *mapping) {
                         let fingerprint =
                             tricheck_litmus::Fingerprint::of(compiled.program()).as_u64();
-                        *visits.entry(fingerprint).or_default() += cells_per_mapping[m];
+                        *visits.entry(fingerprint).or_default() += visits_per_program[m];
                     }
                 }
             }
@@ -1127,15 +1250,21 @@ impl Sweep {
                 .set(visits)
                 .unwrap_or_else(|_| unreachable!("the pre-pass runs once"));
         }
+        // Label the per-group latency histograms; the iterator is only
+        // consumed when a metrics session is collecting.
+        tricheck_trace::set_keys(groups.iter().map(|g| label(g.cells[0].0)));
+        let n_groups = groups.len();
+        let n_items = tests.len() * n_groups;
         let process = |i: usize| {
-            let (t, s) = (i / n_cells, i % n_cells);
-            let result = {
-                let _cell = tricheck_trace::cell_span(s);
-                cache.process(t, &cells[s], share_spaces)
-            };
-            results[i]
-                .set(result)
-                .expect("each work item is processed exactly once");
+            let (t, g) = (i / n_groups, i % n_groups);
+            {
+                let _cell = tricheck_trace::cell_span(g);
+                cache.process(t, &groups[g], |s, result| {
+                    results[t * n_cells + s]
+                        .set(result)
+                        .expect("each (test, cell) slot is written exactly once");
+                });
+            }
             tricheck_trace::progress_item_done();
         };
         tricheck_trace::progress_begin(n_items as u64);
@@ -1511,6 +1640,12 @@ mod tests {
         // code, so deduplication must find strictly fewer programs than
         // (test, mapping) pairs.
         assert!(stats.distinct_programs < stats.compile_calls);
+        // Each mapping group judges a program in one fused stream: at
+        // most one kernel prelude per (test, mapping), and every
+        // judgement is either a stream's first or a prelude reuse.
+        assert!(stats.prelude_misses > 0);
+        assert!(stats.prelude_misses <= stats.compile_calls);
+        assert_eq!(stats.compiled_kernels, 28, "one kernel per stack model");
     }
 
     #[test]

@@ -10,6 +10,7 @@
 //! <cache-dir>/
 //!   spaces/<fingerprint as 16 hex digits>.space
 //!   c11.verdicts
+//!   c11.lock          (empty; serializes concurrent verdict flushes)
 //! ```
 //!
 //! Every file is little-endian, begins with an 8-byte magic and a
@@ -474,6 +475,17 @@ impl SpaceStore for DiskStore {
         if !self.c11_dirty.swap(false, Ordering::AcqRel) {
             return;
         }
+        // Sibling processes flushing the same store take turns: two
+        // unserialized read-merge-writes can each write a merge missing
+        // the other's verdicts. The lock is advisory and released when
+        // the file closes (also if the process dies); if it cannot be
+        // taken the flush proceeds unlocked.
+        let lock = fs::OpenOptions::new()
+            .create(true)
+            .truncate(false)
+            .write(true)
+            .open(self.dir.join("c11.lock"));
+        let _lock = lock.ok().filter(|file| file.lock().is_ok());
         let mut map = self.c11.lock().expect("c11 lock");
         // Merge with whatever a sibling process flushed since we loaded;
         // our entries win on conflict (they are newer observations of

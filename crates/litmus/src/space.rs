@@ -41,8 +41,9 @@
 //! microarchitecture models implement it, which is what lets one
 //! enumeration serve every layer of the stack. Models that judge via a
 //! compiled kernel bypass the per-`Execution` predicate entirely and
-//! stream a view's index list through
-//! `CompiledModel::check_batch` over the arena columns.
+//! stream a view's index list through the kernel's batch judging
+//! (`CompiledModel::check_batch` / `witness_batch`) over the arena
+//! columns.
 //!
 //! # View invariants
 //!
@@ -74,8 +75,6 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
-
-use tricheck_rel::Prelude;
 
 use crate::arena::ExecArena;
 use crate::codec::{self, AnnCodec, ByteReader, CodecError};
@@ -153,12 +152,6 @@ pub struct SpaceStats {
     /// Search branches cut by the coherence core across this space's
     /// enumerations (always zero for an unpruned space).
     pub candidates_pruned: usize,
-    /// Candidate judgements that replayed a cached compiled-kernel
-    /// prelude (see [`ExecutionSpace::kernel_prelude`]).
-    pub prelude_hits: usize,
-    /// Compiled-kernel preludes evaluated by this space — at most one
-    /// per kernel that ever judged it.
-    pub prelude_misses: usize,
 }
 
 /// A read view over candidates of one space: a shared columnar arena
@@ -283,21 +276,9 @@ pub struct ExecutionSpace<A> {
     /// Outcome partition of the full space, keyed by the observed-register
     /// list it projects onto (see [`ExecutionSpace::outcome_groups`]).
     groups: Mutex<GroupCache>,
-    /// The most recent compiled-kernel prelude evaluated against this
-    /// space, tagged with its kernel id (see
-    /// [`ExecutionSpace::kernel_prelude`]). A single slot: batched
-    /// judging evaluates one prelude per (space, kernel) stream, so a
-    /// full map would only accumulate dead entries a sweep pays to free
-    /// at teardown. Runtime-only state: never part of
-    /// [`ExecutionSpace::snapshot`] — preludes are recomputed cheaply
-    /// per process and their layout is a kernel implementation detail,
-    /// not a persistence format.
-    prelude: Mutex<Option<(u64, Arc<Prelude>)>>,
     enumerations: AtomicUsize,
     cache_hits: AtomicUsize,
     candidates_pruned: AtomicUsize,
-    prelude_hits: AtomicUsize,
-    prelude_misses: AtomicUsize,
 }
 
 /// The full candidate space partitioned by outcome: each entry pairs one
@@ -320,12 +301,9 @@ impl<A: Clone + Hash> ExecutionSpace<A> {
             full: OnceLock::new(),
             matching: Mutex::new(BTreeMap::new()),
             groups: Mutex::new(BTreeMap::new()),
-            prelude: Mutex::new(None),
             enumerations: AtomicUsize::new(0),
             cache_hits: AtomicUsize::new(0),
             candidates_pruned: AtomicUsize::new(0),
-            prelude_hits: AtomicUsize::new(0),
-            prelude_misses: AtomicUsize::new(0),
         }
     }
 
@@ -569,34 +547,7 @@ impl<A: Clone + Hash> ExecutionSpace<A> {
             enumerations: self.enumerations.load(Ordering::Relaxed),
             cache_hits: self.cache_hits.load(Ordering::Relaxed),
             candidates_pruned: self.candidates_pruned.load(Ordering::Relaxed),
-            prelude_hits: self.prelude_hits.load(Ordering::Relaxed),
-            prelude_misses: self.prelude_misses.load(Ordering::Relaxed),
         }
-    }
-
-    /// The space-invariant prelude of the compiled kernel identified by
-    /// `kernel_id`, evaluating it via `build` on a slot miss and
-    /// replaying the cached result while the same kernel keeps asking.
-    ///
-    /// The cache is a single slot, not a map: batched judging streams
-    /// every candidate of a (space, kernel) pair through one
-    /// `check_batch` call, so the prelude is requested once per stream
-    /// and back-to-back requests come from the same kernel. A per-kernel
-    /// map would only accumulate entries no later request reads — dead
-    /// weight the sweep pays to free at teardown. Hits count replays of
-    /// the slotted prelude; misses count evaluations.
-    pub fn kernel_prelude(&self, kernel_id: u64, build: impl FnOnce() -> Prelude) -> Arc<Prelude> {
-        let mut slot = self.prelude.lock().expect("space lock");
-        if let Some((id, cached)) = slot.as_ref() {
-            if *id == kernel_id {
-                self.prelude_hits.fetch_add(1, Ordering::Relaxed);
-                return Arc::clone(cached);
-            }
-        }
-        self.prelude_misses.fetch_add(1, Ordering::Relaxed);
-        let prelude = Arc::new(build());
-        *slot = Some((kernel_id, Arc::clone(&prelude)));
-        prelude
     }
 }
 
@@ -760,9 +711,9 @@ impl<A: Clone + Hash + AnnCodec> ExecutionSpace<A> {
 /// annotations); the provided methods turn any implementation into
 /// target-mode and outcome-set verdicts over a shared
 /// [`ExecutionSpace`]. Compiled-kernel implementations override the
-/// provided methods to stream view index lists through
-/// `CompiledModel::check_batch` instead of judging one owned
-/// `Execution` at a time.
+/// provided methods to stream view index lists through the kernel's
+/// batch judging (`CompiledModel::check_batch` / `witness_batch`)
+/// instead of judging one owned `Execution` at a time.
 pub trait ConsistencyModel: Sync {
     /// The instruction annotation level the model judges.
     type Ann: Clone + Hash;

@@ -4,7 +4,7 @@
 //! semantics of a model: lazy, memoized, and easy to audit — but it
 //! pays interpretation overhead on every candidate execution (name
 //! probes, allocation per operator node, re-walking shared subtrees).
-//! [`CompiledModel`] removes that overhead by lowering a model **once**
+//! [`CompiledModel`] removes that overhead by lowering models **once**
 //! into an SSA-style program of bitset operations over `u64` words:
 //!
 //! - **Interning** — every base-relation, base-set, and definition name
@@ -25,17 +25,42 @@
 //!   (derived from the program, not from the candidate `rf`/`co`: `po`,
 //!   dependency edges, fence edge sets, annotation/AMO event sets, …).
 //!   Every operation whose inputs are transitively invariant moves into
-//!   a **prelude** that is evaluated once per program — an
-//!   `ExecutionSpace` caches the resulting [`Prelude`] and replays it
-//!   for every candidate, so per-candidate work touches only the truly
+//!   a **prelude** that is evaluated once per program — a judging
+//!   stream evaluates the [`Prelude`] once and replays it for every
+//!   candidate, so per-candidate work touches only the truly
 //!   candidate-dependent suffix of the dataflow graph.
 //!
-//! The per-candidate body is scheduled in axiom order: checking stops at
-//! the first violated axiom having evaluated only the operations that
-//! axiom (and earlier ones) can reach, mirroring the lazy interpreter's
-//! short-circuiting. [`CompiledModel::check`] is verdict-identical to
-//! [`ModelIr::check`] by construction, and the interpreter survives as
-//! the differential oracle for exactly that property.
+//! # Multi-output kernels
+//!
+//! [`CompiledModel::compile`] lowers a slice of 1–64 models into **one**
+//! hash-consed arena, so CSE runs across models as well as within
+//! them: models that share base relations, `com`, or whole axioms (the
+//! seven Table 7 machines of one ISA version share their
+//! sc-per-location and atomicity axioms outright) compute each shared
+//! value once per candidate instead of once per model. Definition
+//! names are scoped per model — two models may both define `ppo`
+//! differently — and only structurally equal operations merge. The
+//! prelude is the union of every model's invariant operations.
+//!
+//! Each (model, axiom) pair carries a **need list**: the body
+//! operations its relation depends on that the same model's earlier
+//! axioms did not already need, in schedule (topological) order.
+//! Evaluation takes a `wanted` bitmask of models and returns a `u64`
+//! verdict mask (bit `k` set iff model `k` accepts the candidate). It
+//! walks each wanted model's axioms in order, evaluating a need-list
+//! operation only if no earlier model already computed it for this
+//! candidate, and stops a model at its first violated axiom — so
+//! operations needed only by models that already failed (or that are
+//! not wanted) are never evaluated. Structurally equal axiom tests
+//! (same relation, same kind) are decided once per candidate too.
+//!
+//! A single model is simply `N = 1` of the same evaluator:
+//! [`CompiledModel::check`] is verdict-identical to [`ModelIr::check`]
+//! by construction, including the name of the first violated axiom,
+//! and the interpreter survives as the differential oracle for exactly
+//! that property. On a multi-output kernel the `check` family judges
+//! every model and reports the first violated axiom of the first model
+//! that fails.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -171,10 +196,10 @@ impl Value {
     }
 }
 
-/// The space-invariant values of one compiled model over one program:
+/// The space-invariant values of one compiled kernel over one program:
 /// every operation reachable only from invariant bases, evaluated once.
-/// Obtained from [`CompiledModel::prelude`] and shared (typically via an
-/// `ExecutionSpace`-level cache) across all candidate judgements.
+/// Obtained from [`CompiledModel::prelude`] and replayed across every
+/// candidate judgement of a stream over that program.
 #[derive(Clone, Debug)]
 pub struct Prelude {
     n: usize,
@@ -204,6 +229,38 @@ pub struct EvalScratch {
     kernel: u64,
     n: usize,
     body: Vec<Value>,
+    /// `op_epoch[i] == epoch` iff body slot `i` holds the current
+    /// candidate's value (shared by every model that needs it).
+    op_epoch: Vec<u32>,
+    /// `test_epoch[t] == epoch` iff `test_holds[t]` is the current
+    /// candidate's result of axiom test `t`.
+    test_epoch: Vec<u32>,
+    test_holds: Vec<bool>,
+    epoch: u32,
+}
+
+impl EvalScratch {
+    /// Binds the scratch to `kernel` over an `n`-event universe and
+    /// starts a new candidate: every memoized value becomes stale.
+    fn begin(&mut self, kernel: &CompiledModel, n: usize) {
+        if self.kernel != kernel.kernel_id || self.n != n {
+            self.kernel = kernel.kernel_id;
+            self.n = n;
+            self.body.clear();
+            self.body
+                .resize_with(kernel.body_ops.len(), || Value::Set(EventSet::empty(0)));
+            self.op_epoch = vec![0; kernel.body_ops.len()];
+            self.test_epoch = vec![0; kernel.tests.len()];
+            self.test_holds = vec![false; kernel.tests.len()];
+            self.epoch = 0;
+        }
+        if self.epoch == u32::MAX {
+            self.op_epoch.fill(0);
+            self.test_epoch.fill(0);
+            self.epoch = 0;
+        }
+        self.epoch += 1;
+    }
 }
 
 /// A source of candidate bindings addressed by dense `u32` index — the
@@ -215,7 +272,8 @@ pub struct EvalScratch {
 /// preallocated storage) and returns a [`BaseRelations`] view of it.
 /// The returned binding borrows the pool, so exactly one candidate is
 /// bound at a time — which is precisely the access pattern
-/// [`CompiledModel::check_batch`] streams.
+/// [`CompiledModel::check_batch`] and [`CompiledModel::witness_batch`]
+/// stream.
 pub trait BindingPool {
     /// The per-candidate binding type `bind` lends out.
     type Binding<'a>: BaseRelations
@@ -233,27 +291,47 @@ pub trait BindingPool {
     fn bind(&mut self, index: u32) -> Self::Binding<'_>;
 }
 
-/// One axiom of the compiled program: the location of its relation and
-/// how much of the body schedule must be evaluated before testing it.
+/// One distinct axiom test of the compiled program: `kind` applied to
+/// the value at `rel`. Models whose axioms lower to the same relation
+/// node with the same kind share one test, decided once per candidate.
+#[derive(Clone, Debug)]
+struct AxiomTest {
+    kind: AxiomKind,
+    rel: Loc,
+}
+
+/// One axiom of one model: its name, its (shared) test, and the body
+/// operations it needs beyond those its model's earlier axioms need.
 #[derive(Clone, Debug)]
 struct CompiledAxiom {
     name: &'static str,
-    kind: AxiomKind,
-    rel: Loc,
-    /// Body operations `[0, body_cutoff)` are exactly those first needed
-    /// by this axiom or an earlier one.
-    body_cutoff: usize,
+    test: u32,
+    /// Body slots in schedule (topological) order.
+    needs: Vec<u32>,
 }
 
-/// A [`ModelIr`] lowered to a flat program of fused bitset kernels —
-/// see the [module docs](self) for the compile pipeline.
+/// A model's output of a (possibly multi-output) kernel: its axioms in
+/// declaration order.
+#[derive(Clone, Debug)]
+struct ModelOutput {
+    name: String,
+    axioms: Vec<CompiledAxiom>,
+}
+
+/// One or more [`ModelIr`]s lowered to a flat program of fused bitset
+/// kernels — see the [module docs](self) for the compile pipeline and
+/// the multi-output evaluator.
 ///
-/// Compile once (per model), then judge many candidates:
+/// Compile once, then judge many candidates:
 ///
 /// - [`CompiledModel::prelude`] evaluates the space-invariant prefix
 ///   for one program;
+/// - [`CompiledModel::verdicts_with_scratch`] judges one candidate for
+///   a `wanted` set of models, returning a verdict bitmask, and
+///   [`CompiledModel::witness_batch`] streams candidates until every
+///   wanted model has accepted one;
 /// - [`CompiledModel::check_with`] / [`consistent_with`](Self::consistent_with)
-///   judge one candidate, reusing a prelude;
+///   judge one candidate against every model, reusing a prelude;
 /// - [`CompiledModel::check`] / [`consistent`](Self::consistent) are
 ///   the standalone forms (prelude recomputed per call) for one-shot
 ///   callers.
@@ -265,11 +343,16 @@ pub struct CompiledModel {
     base_sets: Vec<&'static str>,
     prelude_ops: Vec<Op<Loc>>,
     body_ops: Vec<Op<Loc>>,
-    axioms: Vec<CompiledAxiom>,
+    tests: Vec<AxiomTest>,
+    models: Vec<ModelOutput>,
 }
 
 impl CompiledModel {
-    /// Lowers a model into a compiled kernel program.
+    /// The most models one kernel lowers: verdicts are `u64` bitmasks.
+    pub const MAX_MODELS: usize = 64;
+
+    /// Lowers `models` into one compiled kernel program with one
+    /// verdict bit per model (bit `k` for `models[k]`).
     ///
     /// `space_invariant_bases` names the base relations and sets whose
     /// value depends only on the *program* (not on the candidate
@@ -279,16 +362,24 @@ impl CompiledModel {
     ///
     /// # Panics
     ///
-    /// Panics if the model references an undefined definition name or
-    /// contains a definition cycle (the same model bugs
-    /// [`ModelIr::check`] reports, surfaced at compile time instead of
-    /// per evaluation). Unknown *base* names still panic at evaluation
-    /// time, because which bases exist is the binding's contract.
+    /// Panics if `models` is empty or longer than
+    /// [`CompiledModel::MAX_MODELS`], or if a model references an
+    /// undefined definition name or contains a definition cycle (the
+    /// same model bugs [`ModelIr::check`] reports, surfaced at compile
+    /// time instead of per evaluation). Unknown *base* names still
+    /// panic at evaluation time, because which bases exist is the
+    /// binding's contract.
     #[must_use]
-    pub fn compile(ir: &ModelIr, space_invariant_bases: &[&str]) -> CompiledModel {
+    pub fn compile(models: &[&ModelIr], space_invariant_bases: &[&str]) -> CompiledModel {
+        assert!(
+            (1..=Self::MAX_MODELS).contains(&models.len()),
+            "a kernel lowers 1 to {} models, got {}",
+            Self::MAX_MODELS,
+            models.len()
+        );
         let _t = tricheck_trace::span(tricheck_trace::Phase::KernelCompile);
         let mut lowerer = Lowerer {
-            defs: ir.defs(),
+            defs: &[],
             invariant: space_invariant_bases,
             nodes: Vec::new(),
             node_invariant: Vec::new(),
@@ -298,88 +389,136 @@ impl CompiledModel {
             def_nodes: Vec::new(),
             resolving: Vec::new(),
         };
-        let roots: Vec<(usize, &'static str, AxiomKind)> = ir
-            .axioms()
+        // Lower every model into the shared arena; definition names
+        // resolve within their own model only.
+        let roots: Vec<Vec<(usize, &'static str, AxiomKind)>> = models
             .iter()
-            .map(|axiom| (lowerer.lower_rel(&axiom.rel), axiom.name, axiom.kind))
-            .collect();
-
-        // Tag every node with the first axiom that reaches it.
-        let mut first_needed: Vec<Option<usize>> = vec![None; lowerer.nodes.len()];
-        for (k, &(root, _, _)) in roots.iter().enumerate() {
-            let mut stack = vec![root];
-            while let Some(node) = stack.pop() {
-                if first_needed[node].is_some() {
-                    continue;
-                }
-                first_needed[node] = Some(k);
-                lowerer.nodes[node].for_each_operand(|child| stack.push(child));
-            }
-        }
-
-        // Schedule: invariant nodes in arena (topological) order form
-        // the prelude; the rest are stable-sorted by (first axiom, id),
-        // which preserves topological order because an operand is first
-        // needed no later than its user.
-        let prelude_ids: Vec<usize> = (0..lowerer.nodes.len())
-            .filter(|&i| first_needed[i].is_some() && lowerer.node_invariant[i])
-            .collect();
-        let mut body_ids: Vec<usize> = (0..lowerer.nodes.len())
-            .filter(|&i| first_needed[i].is_some() && !lowerer.node_invariant[i])
-            .collect();
-        body_ids.sort_by_key(|&i| first_needed[i]);
-
-        let mut locs: Vec<Option<Loc>> = vec![None; lowerer.nodes.len()];
-        for (slot, &id) in prelude_ids.iter().enumerate() {
-            locs[id] = Some(Loc::Prelude(u32::try_from(slot).expect("prelude fits u32")));
-        }
-        for (slot, &id) in body_ids.iter().enumerate() {
-            locs[id] = Some(Loc::Body(u32::try_from(slot).expect("body fits u32")));
-        }
-        let loc_of = |id: usize| locs[id].expect("every scheduled operand has a location");
-
-        let axioms = roots
-            .iter()
-            .enumerate()
-            .map(|(k, &(root, name, kind))| CompiledAxiom {
-                name,
-                kind,
-                rel: loc_of(root),
-                body_cutoff: body_ids
+            .map(|ir| {
+                lowerer.defs = ir.defs();
+                lowerer.def_nodes.clear();
+                ir.axioms()
                     .iter()
-                    .position(|&i| first_needed[i] > Some(k))
-                    .unwrap_or(body_ids.len()),
+                    .map(|axiom| (lowerer.lower_rel(&axiom.rel), axiom.name, axiom.kind))
+                    .collect()
             })
             .collect();
+        let nodes = &lowerer.nodes;
+        let invariant = &lowerer.node_invariant;
+
+        // Every arena node was lowered on behalf of some axiom, so all
+        // are scheduled. Arena order is topological (operands are pushed
+        // before their users), and both the prelude and the body keep it.
+        let (mut n_prelude, mut n_body) = (0u32, 0u32);
+        let locs: Vec<Loc> = invariant
+            .iter()
+            .map(|&inv| {
+                let (count, loc): (_, fn(u32) -> Loc) = if inv {
+                    (&mut n_prelude, Loc::Prelude)
+                } else {
+                    (&mut n_body, Loc::Body)
+                };
+                *count += 1;
+                loc(*count - 1)
+            })
+            .collect();
+        let schedule = |prelude: bool| -> Vec<Op<Loc>> {
+            nodes
+                .iter()
+                .zip(invariant)
+                .filter(|&(_, &inv)| inv == prelude)
+                .map(|(op, _)| op.map(|id| locs[id]))
+                .collect()
+        };
+
+        let mut tests: Vec<AxiomTest> = Vec::new();
+        let mut test_roots: Vec<(usize, AxiomKind)> = Vec::new();
+        let outputs = models
+            .iter()
+            .zip(&roots)
+            .map(|(ir, axioms)| {
+                // Body nodes an earlier axiom of this model already needs.
+                let mut needed = vec![false; nodes.len()];
+                let axioms = axioms
+                    .iter()
+                    .map(|&(root, name, kind)| {
+                        let test = test_roots
+                            .iter()
+                            .position(|&t| t == (root, kind))
+                            .unwrap_or_else(|| {
+                                test_roots.push((root, kind));
+                                tests.push(AxiomTest {
+                                    kind,
+                                    rel: locs[root],
+                                });
+                                tests.len() - 1
+                            });
+                        let mut needs = Vec::new();
+                        let mut stack = vec![root];
+                        while let Some(node) = stack.pop() {
+                            // Invariant nodes have only invariant operands.
+                            if invariant[node] || std::mem::replace(&mut needed[node], true) {
+                                continue;
+                            }
+                            if let Loc::Body(slot) = locs[node] {
+                                needs.push(slot);
+                            }
+                            nodes[node].for_each_operand(|child| stack.push(child));
+                        }
+                        needs.sort_unstable();
+                        CompiledAxiom {
+                            name,
+                            test: u32::try_from(test).expect("tests fit u32"),
+                            needs,
+                        }
+                    })
+                    .collect();
+                ModelOutput {
+                    name: ir.name().to_string(),
+                    axioms,
+                }
+            })
+            .collect::<Vec<_>>();
 
         CompiledModel {
-            name: ir.name().to_string(),
+            name: outputs
+                .iter()
+                .map(|m| m.name.as_str())
+                .collect::<Vec<_>>()
+                .join(" + "),
             kernel_id: NEXT_KERNEL_ID.fetch_add(1, Ordering::Relaxed),
+            prelude_ops: schedule(true),
+            body_ops: schedule(false),
             base_rels: lowerer.base_rels,
             base_sets: lowerer.base_sets,
-            prelude_ops: prelude_ids
-                .iter()
-                .map(|&i| lowerer.nodes[i].map(loc_of))
-                .collect(),
-            body_ops: body_ids
-                .iter()
-                .map(|&i| lowerer.nodes[i].map(loc_of))
-                .collect(),
-            axioms,
+            tests,
+            models: outputs,
         }
     }
 
-    /// The source model's display name.
+    /// The source models' display names, joined by `" + "` (just the
+    /// model's name for a single-model kernel).
     #[must_use]
     pub fn name(&self) -> &str {
         &self.name
     }
 
+    /// How many models (verdict bits) the kernel judges.
+    #[must_use]
+    pub fn model_count(&self) -> usize {
+        self.models.len()
+    }
+
+    /// The verdict mask with every model's bit set.
+    #[must_use]
+    pub fn all_models(&self) -> u64 {
+        u64::MAX >> (64 - self.models.len())
+    }
+
     /// A process-unique identity for this compiled kernel program.
     ///
-    /// Space-level prelude caches key on it: two `CompiledModel`s never
-    /// share an id, so a cached [`Prelude`] is only ever replayed by
-    /// the kernel that produced it.
+    /// Evaluation scratches key on it: two `CompiledModel`s never
+    /// share an id, so an [`EvalScratch`] laid out for one kernel is
+    /// never misread by another.
     #[must_use]
     pub fn kernel_id(&self) -> u64 {
         self.kernel_id
@@ -418,15 +557,18 @@ impl CompiledModel {
         Prelude { n, values }
     }
 
-    /// Checks every axiom against one candidate execution, reusing a
-    /// prelude computed by [`CompiledModel::prelude`] over the same
-    /// program. Verdict-identical to [`ModelIr::check`] on the same
-    /// binding, including stopping at the first violated axiom without
-    /// evaluating operations only later axioms need.
+    /// Checks every axiom of every model against one candidate
+    /// execution, reusing a prelude computed by
+    /// [`CompiledModel::prelude`] over the same program. For a
+    /// single-model kernel this is verdict-identical to
+    /// [`ModelIr::check`] on the same binding, including stopping at the
+    /// first violated axiom without evaluating operations only later
+    /// axioms need.
     ///
     /// # Errors
     ///
-    /// The name of the first violated axiom.
+    /// The name of the first violated axiom of the first model that
+    /// rejects the candidate.
     ///
     /// # Panics
     ///
@@ -448,7 +590,8 @@ impl CompiledModel {
     ///
     /// # Errors
     ///
-    /// The name of the first violated axiom.
+    /// The name of the first violated axiom of the first model that
+    /// rejects the candidate.
     ///
     /// # Panics
     ///
@@ -460,44 +603,39 @@ impl CompiledModel {
         scratch: &mut EvalScratch,
     ) -> Result<(), &'static str> {
         let _t = tricheck_trace::span(tricheck_trace::Phase::CandidateCheck);
-        let n = binding.universe();
-        assert_eq!(
-            prelude.n, n,
-            "prelude evaluated over a different event universe"
-        );
-        if scratch.kernel != self.kernel_id || scratch.n != n {
-            scratch.body.clear();
-            scratch.kernel = self.kernel_id;
-            scratch.n = n;
-        }
-        let mut evaluated = 0;
-        for axiom in &self.axioms {
-            while evaluated < axiom.body_cutoff {
-                if scratch.body.len() == evaluated {
-                    scratch.body.push(Value::Set(EventSet::empty(0)));
-                }
-                let (done, rest) = scratch.body.split_at_mut(evaluated);
-                self.eval_into(
-                    &self.body_ops[evaluated],
-                    n,
-                    binding,
-                    &prelude.values,
-                    done,
-                    &mut rest[0],
-                );
-                evaluated += 1;
-            }
-            let rel = fetch(axiom.rel, &prelude.values, &scratch.body).as_rel();
-            let holds = match axiom.kind {
-                AxiomKind::Acyclic => rel.is_acyclic(),
-                AxiomKind::Irreflexive => rel.is_irreflexive(),
-                AxiomKind::Empty => rel.is_empty(),
-            };
-            if !holds {
-                return Err(axiom.name);
+        self.begin(prelude, binding, scratch);
+        (0..self.models.len()).try_for_each(|k| self.judge_model(k, prelude, binding, scratch))
+    }
+
+    /// Judges one candidate for the models whose bits are set in
+    /// `wanted`, reusing a prelude and caller-owned buffers. Returns the
+    /// verdict mask: bit `k` is set iff model `k` is wanted and accepts
+    /// the candidate. Operations are shared across the wanted models
+    /// and skipped when only unwanted or already-failed models need
+    /// them.
+    ///
+    /// # Panics
+    ///
+    /// As [`CompiledModel::check_with`].
+    pub fn verdicts_with_scratch<B: BaseRelations>(
+        &self,
+        prelude: &Prelude,
+        binding: &B,
+        wanted: u64,
+        scratch: &mut EvalScratch,
+    ) -> u64 {
+        let _t = tricheck_trace::span(tricheck_trace::Phase::CandidateCheck);
+        self.begin(prelude, binding, scratch);
+        let mut accepted = 0;
+        let mut pending = wanted & self.all_models();
+        while pending != 0 {
+            let k = pending.trailing_zeros() as usize;
+            pending &= pending - 1;
+            if self.judge_model(k, prelude, binding, scratch).is_ok() {
+                accepted |= 1 << k;
             }
         }
-        Ok(())
+        accepted
     }
 
     /// `true` if every axiom holds, reusing a cached prelude.
@@ -507,7 +645,7 @@ impl CompiledModel {
     }
 
     /// `true` if every axiom holds, reusing a cached prelude and
-    /// caller-owned evaluation buffers (the production sweep path).
+    /// caller-owned evaluation buffers.
     #[must_use]
     pub fn consistent_with_scratch<B: BaseRelations>(
         &self,
@@ -559,13 +697,47 @@ impl CompiledModel {
         judged
     }
 
+    /// The multi-output witness search: streams `indices` through one
+    /// prelude and scratch, judging each candidate only for the wanted
+    /// models that have not accepted an earlier one, and stops as soon
+    /// as every wanted model has a witness. Returns the mask of models
+    /// that accepted some candidate and how many candidates were
+    /// judged.
+    ///
+    /// # Panics
+    ///
+    /// As [`CompiledModel::check_with_scratch`], per candidate.
+    pub fn witness_batch<P: BindingPool>(
+        &self,
+        prelude: &Prelude,
+        pool: &mut P,
+        indices: &[u32],
+        wanted: u64,
+        scratch: &mut EvalScratch,
+    ) -> (u64, usize) {
+        let wanted = wanted & self.all_models();
+        let mut witnessed = 0;
+        let mut judged = 0;
+        for &index in indices {
+            if witnessed == wanted {
+                break;
+            }
+            let binding = pool.bind(index);
+            witnessed |=
+                self.verdicts_with_scratch(prelude, &binding, wanted & !witnessed, scratch);
+            judged += 1;
+        }
+        (witnessed, judged)
+    }
+
     /// One-shot check: evaluates the prelude and the body for a single
     /// candidate. Prefer [`CompiledModel::check_with`] with a shared
     /// prelude when judging many candidates of one program.
     ///
     /// # Errors
     ///
-    /// The name of the first violated axiom.
+    /// The name of the first violated axiom of the first model that
+    /// rejects the candidate.
     pub fn check<B: BaseRelations>(&self, binding: &B) -> Result<(), &'static str> {
         self.check_with(&self.prelude(binding), binding)
     }
@@ -574,6 +746,63 @@ impl CompiledModel {
     #[must_use]
     pub fn consistent<B: BaseRelations>(&self, binding: &B) -> bool {
         self.check(binding).is_ok()
+    }
+
+    /// Starts one candidate's judgement on `scratch`.
+    fn begin<B: BaseRelations>(&self, prelude: &Prelude, binding: &B, scratch: &mut EvalScratch) {
+        assert_eq!(
+            prelude.n,
+            binding.universe(),
+            "prelude evaluated over a different event universe"
+        );
+        scratch.begin(self, prelude.n);
+    }
+
+    /// Model `k`'s verdict on the candidate `scratch` was begun for:
+    /// its axioms in order, each evaluating only the need-list
+    /// operations no earlier judgement of this candidate computed, up
+    /// to the first violated axiom.
+    fn judge_model<B: BaseRelations>(
+        &self,
+        k: usize,
+        prelude: &Prelude,
+        binding: &B,
+        scratch: &mut EvalScratch,
+    ) -> Result<(), &'static str> {
+        let epoch = scratch.epoch;
+        for axiom in &self.models[k].axioms {
+            let t = axiom.test as usize;
+            if scratch.test_epoch[t] != epoch {
+                for &slot in &axiom.needs {
+                    let slot = slot as usize;
+                    if scratch.op_epoch[slot] == epoch {
+                        continue;
+                    }
+                    let (done, rest) = scratch.body.split_at_mut(slot);
+                    self.eval_into(
+                        &self.body_ops[slot],
+                        prelude.n,
+                        binding,
+                        &prelude.values,
+                        done,
+                        &mut rest[0],
+                    );
+                    scratch.op_epoch[slot] = epoch;
+                }
+                let test = &self.tests[t];
+                let rel = fetch(test.rel, &prelude.values, &scratch.body).as_rel();
+                scratch.test_holds[t] = match test.kind {
+                    AxiomKind::Acyclic => rel.is_acyclic(),
+                    AxiomKind::Irreflexive => rel.is_irreflexive(),
+                    AxiomKind::Empty => rel.is_empty(),
+                };
+                scratch.test_epoch[t] = epoch;
+            }
+            if !scratch.test_holds[t] {
+                return Err(axiom.name);
+            }
+        }
+        Ok(())
     }
 
     /// Executes one operation into a caller-owned slot. Fused n-ary
@@ -1086,7 +1315,7 @@ mod tests {
     #[test]
     fn compiled_matches_the_interpreter_on_the_toy_models() {
         let model = sc_like();
-        let compiled = CompiledModel::compile(&model, &["po"]);
+        let compiled = CompiledModel::compile(&[&model], &["po"]);
         for fr_back in [false, true] {
             let binding = Toy { fr_back };
             assert_eq!(compiled.check(&binding), model.check(&binding));
@@ -1134,7 +1363,7 @@ mod tests {
                 RelExpr::reference("d1").minus(RelExpr::reference("d1")),
             );
         for invariant in [&[] as &[&str], &["po", "W", "R"]] {
-            let compiled = CompiledModel::compile(&kitchen_sink, invariant);
+            let compiled = CompiledModel::compile(&[&kitchen_sink], invariant);
             for fr_back in [false, true] {
                 let binding = Toy { fr_back };
                 assert_eq!(
@@ -1151,7 +1380,7 @@ mod tests {
         let model = ModelIr::new("two-axioms")
             .axiom("NoPo", AxiomKind::Empty, RelExpr::base("po"))
             .axiom("NoFr", AxiomKind::Empty, RelExpr::base("fr"));
-        let compiled = CompiledModel::compile(&model, &[]);
+        let compiled = CompiledModel::compile(&[&model], &[]);
         let binding = Toy { fr_back: true };
         assert_eq!(compiled.check(&binding), Err("NoPo"));
         assert_eq!(compiled.check(&binding), model.check(&binding));
@@ -1162,11 +1391,11 @@ mod tests {
         // ghb = po ∪ rf ∪ fr: with only po invariant nothing composite
         // hoists; making all three bases invariant hoists everything.
         let model = sc_like();
-        let none = CompiledModel::compile(&model, &[]);
+        let none = CompiledModel::compile(&[&model], &[]);
         assert_eq!(none.prelude_op_count(), 0);
-        let po_only = CompiledModel::compile(&model, &["po"]);
+        let po_only = CompiledModel::compile(&[&model], &["po"]);
         assert_eq!(po_only.prelude_op_count(), 1, "just the po fetch");
-        let all = CompiledModel::compile(&model, &["po", "rf", "fr"]);
+        let all = CompiledModel::compile(&[&model], &["po", "rf", "fr"]);
         assert!(all.body_op_count() == 0, "whole body hoisted");
         // All three compile to the same verdicts.
         for compiled in [&none, &po_only, &all] {
@@ -1181,7 +1410,7 @@ mod tests {
     fn preludes_replay_across_candidates() {
         // po is invariant across the two Toy "candidates"; fr differs.
         let model = sc_like();
-        let compiled = CompiledModel::compile(&model, &["po"]);
+        let compiled = CompiledModel::compile(&[&model], &["po"]);
         let prelude = compiled.prelude(&Toy { fr_back: false });
         assert!(compiled.consistent_with(&prelude, &Toy { fr_back: false }));
         assert!(!compiled.consistent_with(&prelude, &Toy { fr_back: true }));
@@ -1203,14 +1432,114 @@ mod tests {
                 AxiomKind::Irreflexive,
                 RelExpr::base("po").union(RelExpr::base("fr")).star(),
             );
-        let compiled = CompiledModel::compile(&model, &[]);
+        let compiled = CompiledModel::compile(&[&model], &[]);
         assert_eq!(compiled.body_op_count(), 5);
+    }
+
+    /// A model that forbids any `fr` edge — rejects the SB cycle's
+    /// candidate but not the acyclic one, unlike [`sc_like`] only in
+    /// its axiom, so fusing the two shares the `fr` fetch.
+    fn no_fr() -> ModelIr {
+        ModelIr::new("toy-no-fr")
+            .define("ghb", RelExpr::base("fr"))
+            .axiom("NoFr", AxiomKind::Empty, RelExpr::reference("ghb"))
+    }
+
+    #[test]
+    fn fused_bits_are_the_single_model_verdicts_in_model_order() {
+        let permissive = ModelIr::new("toy-any").axiom("Never", AxiomKind::Empty, RelExpr::Empty);
+        let (a, b) = (sc_like(), permissive);
+        let ab = CompiledModel::compile(&[&a, &b], &["po"]);
+        let ba = CompiledModel::compile(&[&b, &a], &["po"]);
+        assert_eq!((ab.model_count(), ab.all_models()), (2, 0b11));
+        let mut scratch = EvalScratch::default();
+        for fr_back in [false, true] {
+            let binding = Toy { fr_back };
+            let bit = |model: &ModelIr| u64::from(model.check(&binding).is_ok());
+            let (pa, pb) = (ab.prelude(&binding), ba.prelude(&binding));
+            let mask_ab = ab.verdicts_with_scratch(&pa, &binding, 0b11, &mut scratch);
+            let mask_ba = ba.verdicts_with_scratch(&pb, &binding, 0b11, &mut scratch);
+            assert_eq!(mask_ab, bit(&a) | bit(&b) << 1, "fr_back={fr_back}");
+            assert_eq!(mask_ba, bit(&b) | bit(&a) << 1, "fr_back={fr_back}");
+            // Unwanted models never get a bit.
+            assert_eq!(
+                ab.verdicts_with_scratch(&pa, &binding, 0b10, &mut scratch),
+                mask_ab & 0b10
+            );
+        }
+        // SB closes the cycle: only the permissive model accepts.
+        let sb = Toy { fr_back: true };
+        assert_eq!(
+            ab.check(&sb),
+            Err("Sc"),
+            "the first failing model names its axiom"
+        );
+        assert_eq!(ba.check(&sb), Err("Sc"));
+    }
+
+    #[test]
+    fn fusion_shares_operations_and_scopes_definitions_per_model() {
+        // Both models define `ghb`, differently: names must not leak
+        // across models, but the shared `fr` fetch is lowered once.
+        let (sc, nofr) = (sc_like(), no_fr());
+        let fused = CompiledModel::compile(&[&sc, &nofr], &["po"]);
+        let singles = [
+            CompiledModel::compile(&[&sc], &["po"]),
+            CompiledModel::compile(&[&nofr], &["po"]),
+        ];
+        let body: usize = singles.iter().map(CompiledModel::body_op_count).sum();
+        assert!(fused.body_op_count() < body);
+        let mut scratch = EvalScratch::default();
+        for fr_back in [false, true] {
+            let binding = Toy { fr_back };
+            let prelude = fused.prelude(&binding);
+            let mask = fused.verdicts_with_scratch(&prelude, &binding, 0b11, &mut scratch);
+            for (k, single) in singles.iter().enumerate() {
+                assert_eq!(mask >> k & 1 == 1, single.consistent(&binding), "model {k}");
+            }
+        }
+    }
+
+    #[test]
+    fn witness_batches_stop_once_every_wanted_model_has_a_witness() {
+        struct Pool;
+        impl BindingPool for Pool {
+            type Binding<'a> = Toy;
+            fn universe(&self) -> usize {
+                4
+            }
+            fn bind(&mut self, index: u32) -> Toy {
+                Toy {
+                    fr_back: index == 0,
+                }
+            }
+        }
+        let (sc, nofr) = (sc_like(), no_fr());
+        let fused = CompiledModel::compile(&[&sc, &nofr], &["po"]);
+        let prelude = fused.prelude(&Toy { fr_back: false });
+        let mut scratch = EvalScratch::default();
+        // Candidate 0 (the SB cycle) satisfies neither model; candidate
+        // 1 satisfies both, so candidate 2 is never judged.
+        let got = fused.witness_batch(&prelude, &mut Pool, &[0, 1, 2], 0b11, &mut scratch);
+        assert_eq!(got, (0b11, 2));
+        let none = fused.witness_batch(&prelude, &mut Pool, &[0], 0b11, &mut scratch);
+        assert_eq!(none, (0, 1));
+        assert_eq!(
+            fused.witness_batch(&prelude, &mut Pool, &[0, 1], 0, &mut scratch),
+            (0, 0)
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "a kernel lowers 1 to 64 models")]
+    fn a_kernel_needs_at_least_one_model() {
+        let _ = CompiledModel::compile(&[], &[]);
     }
 
     #[test]
     fn kernel_ids_are_unique() {
-        let a = CompiledModel::compile(&sc_like(), &[]);
-        let b = CompiledModel::compile(&sc_like(), &[]);
+        let a = CompiledModel::compile(&[&sc_like()], &[]);
+        let b = CompiledModel::compile(&[&sc_like()], &[]);
         assert_ne!(a.kernel_id(), b.kernel_id());
     }
 
@@ -1218,14 +1547,14 @@ mod tests {
     #[should_panic(expected = "unknown base relation")]
     fn unknown_base_is_still_a_model_bug() {
         let model = ModelIr::new("bad").axiom("a", AxiomKind::Empty, RelExpr::base("nope"));
-        let _ = CompiledModel::compile(&model, &[]).check(&Toy { fr_back: false });
+        let _ = CompiledModel::compile(&[&model], &[]).check(&Toy { fr_back: false });
     }
 
     #[test]
     #[should_panic(expected = "undefined relation")]
     fn undefined_reference_panics_at_compile_time() {
         let model = ModelIr::new("bad").axiom("a", AxiomKind::Empty, RelExpr::reference("later"));
-        let _ = CompiledModel::compile(&model, &[]);
+        let _ = CompiledModel::compile(&[&model], &[]);
     }
 
     #[test]
@@ -1235,6 +1564,6 @@ mod tests {
             .define("a", RelExpr::reference("b"))
             .define("b", RelExpr::reference("a"))
             .axiom("x", AxiomKind::Empty, RelExpr::reference("a"));
-        let _ = CompiledModel::compile(&model, &[]);
+        let _ = CompiledModel::compile(&[&model], &[]);
     }
 }

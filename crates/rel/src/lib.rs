@@ -87,8 +87,9 @@
 //!
 //! In production the tree-walking [`ir`] evaluator is only the
 //! *differential oracle*: the [`compile`] module lowers each `ModelIr`
-//! once into a [`CompiledModel`] — a flat, SSA-style program of bitset
-//! kernels. The compile pipeline interns every base and definition name
+//! — or several models at once, sharing one arena and returning one
+//! verdict bit per model — into a [`CompiledModel`]: a flat, SSA-style
+//! program of bitset kernels. The compile pipeline interns every base and definition name
 //! to a dense index (no per-check string probes), hash-conses the
 //! dataflow graph so shared subterms are computed once per evaluation
 //! (CSE), fuses `∪`/`∩`/`\` chains into single n-ary passes over the

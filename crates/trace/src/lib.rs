@@ -23,9 +23,11 @@
 //! - **Counters** ([`count`]): monotonic `u64` adds over a [`Counter`],
 //!   e.g. candidates enumerated or pruning branches cut.
 //!
-//! [`cell_span`] additionally tags the span with a stack index
-//! registered via [`set_keys`], producing the per-stack latency
-//! histograms (`p50`/`p95`/`max`) in the report.
+//! [`cell_span`] additionally tags the span with a key index registered
+//! via [`set_keys`], producing the per-key latency histograms
+//! (`p50`/`p95`/`max`) of the report's `stacks` table. The sweep engine
+//! keys one cell span per work item, i.e. per (test, mapping group):
+//! one `stacks` row per mapping group, labelled `isa/variant`.
 //!
 //! Every record lands in a buffer owned by the recording thread
 //! (registered once, on first use, in a global registry that outlives
@@ -76,8 +78,8 @@
 //!      "p50_ns": 3, "p95_ns": 4, "max_ns": 5}
 //!   ],
 //!   "counters": {"c11_evaluations": 1701, "pruned_branches": 408},
-//!   "stacks": [                      // per-stack cell latency, from cell_span keys
-//!     {"label": "RISC-V/Curr-Base/WR", "total_ns": 1, "count": 2,
+//!   "stacks": [                      // per-group cell latency, from cell_span keys
+//!     {"label": "Base/riscv-curr", "total_ns": 1, "count": 2,
 //!      "p50_ns": 3, "p95_ns": 4, "max_ns": 5}
 //!   ],
 //!   "workers": [                     // per-shard breakdown (sharded runs only)
@@ -137,9 +139,9 @@ fn flags() -> u32 {
 /// order phases appear in reports.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Phase {
-    /// One (test, stack) work item end to end, as scheduled by the
-    /// sweep engine. Its self time is the engine's own judging +
-    /// scheduling overhead; its inclusive durations are per-cell cost.
+    /// One (test, mapping group) work item end to end, as scheduled by
+    /// the sweep engine. Its self time is the engine's own judging +
+    /// scheduling overhead; its inclusive durations are per-item cost.
     Cell,
     /// C11 axiomatic evaluation of one litmus test (Step 1).
     C11Eval,
@@ -254,7 +256,7 @@ impl Counter {
 
 const N_COUNTERS: usize = Counter::ALL.len();
 
-/// Sentinel key for spans not attributed to a stack.
+/// Sentinel key for spans not attributed to a [`set_keys`] key.
 const NO_KEY: u16 = u16::MAX;
 
 // ---------------------------------------------------------------------------
@@ -449,8 +451,9 @@ pub fn span(phase: Phase) -> SpanGuard {
     span_keyed(phase, NO_KEY)
 }
 
-/// Opens a [`Phase::Cell`] timer attributed to the stack at
-/// `stack_index` in the table registered via [`set_keys`].
+/// Opens a [`Phase::Cell`] timer attributed to the key at `stack_index`
+/// in the table registered via [`set_keys`] (for the sweep engine, a
+/// mapping group of the matrix).
 #[inline]
 #[must_use]
 pub fn cell_span(stack_index: usize) -> SpanGuard {
@@ -554,9 +557,10 @@ pub fn metrics_active() -> bool {
     flags() & METRICS != 0
 }
 
-/// Registers the labels for [`cell_span`] stack indices (index `i` in
-/// the iterator labels key `i`). Ignored when no metrics session is
-/// active.
+/// Registers the labels for [`cell_span`] key indices (index `i` in
+/// the iterator labels key `i`; the sweep engine registers one
+/// `isa/variant` label per mapping group). Ignored when no metrics
+/// session is active.
 pub fn set_keys<I: IntoIterator<Item = String>>(labels: I) {
     if flags() & METRICS == 0 {
         return;
@@ -725,7 +729,7 @@ impl TraceSession {
 pub struct TraceEvent {
     /// Phase name.
     pub phase: &'static str,
-    /// Stack label, for keyed cell spans.
+    /// Key label (a sweep's mapping group), for keyed cell spans.
     pub key: Option<String>,
     /// Recording thread, by registration order.
     pub tid: u64,
@@ -908,14 +912,15 @@ impl PhaseStat {
     }
 }
 
-/// Aggregated per-stack cell timing.
+/// Aggregated cell timing of one [`set_keys`] key (for the sweep
+/// engine, one mapping group).
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct KeyStat {
-    /// Stack label as registered via [`set_keys`].
+    /// Key label as registered via [`set_keys`].
     pub label: String,
     /// Sum of inclusive cell durations.
     pub total_ns: u64,
-    /// Number of cells.
+    /// Number of cell spans (sweep work items).
     pub count: u64,
     /// Maximum inclusive cell duration.
     pub max_ns: u64,
@@ -958,7 +963,7 @@ pub struct TraceReport {
     /// Named counters, sorted by name. Holds both trace-layer counters
     /// and counters injected from `SweepStats` / `StoreStats`.
     pub counters: Vec<(String, u64)>,
-    /// Per-stack cell latency.
+    /// Per-key cell latency: one row per mapping group of a sweep.
     pub stacks: Vec<KeyStat>,
     /// Per-shard breakdown, for merged coordinator reports.
     pub workers: Vec<WorkerReport>,

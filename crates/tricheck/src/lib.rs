@@ -62,9 +62,9 @@
 //!   over candidate executions; [`c11::C11Model`] and
 //!   [`uarch::UarchModel`] both implement it, so `permits_target` and
 //!   `observes` are thin adapters over the same engine.
-//! - **Scheduling** ([`core::Sweep`]) fans (test × stack) work items over
-//!   a work-stealing pool whose workers share the compiled-program and
-//!   execution-space caches; `SweepResults::stats()` proves the
+//! - **Scheduling** ([`core::Sweep`]) fans (test × mapping group) work
+//!   items over a work-stealing pool whose workers share the
+//!   compiled-program and execution-space caches; `SweepResults::stats()` proves the
 //!   exactly-once contract, and `SweepOptions { threads: 1 }` degrades
 //!   to a fully deterministic serial run.
 //!

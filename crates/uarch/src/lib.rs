@@ -93,4 +93,4 @@ pub use ir::{
     build_uarch_ir, hw_lint_schema, hw_vocabulary, x86_tso_ir, HwBinding, HW_REL_BASES,
     HW_SET_BASES, SORT_F, SORT_R, SORT_W,
 };
-pub use model::{UarchModel, UarchViolation};
+pub use model::{FusedJudge, JudgeWork, UarchModel, UarchViolation};

@@ -282,23 +282,16 @@ impl UarchModel {
         }
     }
 
-    /// The model's IR lowered to a fused bitset kernel — compiled once
-    /// per model instance on first use. Program-only bases
-    /// ([`HW_INVARIANT_BASES`]) are hoisted into the kernel's prelude so
-    /// an [`ExecutionSpace`] evaluates them once per program instead of
-    /// once per candidate.
+    /// The model's IR lowered to a single-model bitset kernel —
+    /// compiled once per model instance on first use. Program-only
+    /// bases ([`HW_INVARIANT_BASES`]) are hoisted into the kernel's
+    /// prelude, evaluated once per judging stream instead of once per
+    /// candidate. Sweeps judging several models over one program use a
+    /// [`FusedJudge`] instead.
     #[must_use]
     pub fn compiled(&self) -> &CompiledModel {
         self.compiled
-            .get_or_init(|| CompiledModel::compile(self.ir(), HW_INVARIANT_BASES))
-    }
-
-    /// The process-unique id of this model's compiled kernel (the key of
-    /// per-space prelude caches and the unit of `--cache-stats` kernel
-    /// counting).
-    #[must_use]
-    pub fn kernel_id(&self) -> u64 {
-        self.compiled().kernel_id()
+            .get_or_init(|| CompiledModel::compile(&[self.ir()], HW_INVARIANT_BASES))
     }
 
     /// The model's display name.
@@ -443,37 +436,14 @@ impl ConsistencyModel for UarchModel {
         UarchModel::consistent(self, exec)
     }
 
-    // The space-judged paths stream the space's columnar views through
-    // `CompiledModel::check_batch`: one cursor rebind per candidate (no
-    // per-candidate `Execution` clone, `fr` served from the arena's
-    // derived column) and one replay of the kernel's space-invariant
-    // prelude per stream from the space's per-kernel cache.
+    // The space-judged paths are the single-model case of the fused
+    // judge below: the space's columnar views stream through the
+    // compiled kernel, one cursor rebind per candidate (no per-candidate
+    // `Execution` clone, `fr` served from the arena's derived column)
+    // and one prelude evaluation per stream.
 
     fn permits(&self, space: &ExecutionSpace<HwAnnot>, target: &Outcome) -> bool {
-        let compiled = self.compiled();
-        let view = space.matching(target);
-        if view.is_empty() {
-            return false;
-        }
-        let indices = view.indices();
-        let mut pool = HwPool::over(view.arena()).expect("non-empty view has candidates");
-        // The prelude lives for exactly this stream: batching already
-        // shares it across every candidate of the (space, kernel) pair,
-        // so caching it on the space would only defer the free to the
-        // sweep's teardown burst.
-        let prelude = compiled.prelude(&pool.bind(indices[0]));
-        let mut witnessed = false;
-        compiled.check_batch(
-            &prelude,
-            &mut pool,
-            &indices,
-            &mut EvalScratch::default(),
-            |_, ok| {
-                witnessed = ok;
-                !ok
-            },
-        );
-        witnessed
+        witness_mask(self.compiled(), space, target, 1, &mut JudgeWork::default()) != 0
     }
 
     fn allowed_outcomes(
@@ -481,28 +451,149 @@ impl ConsistencyModel for UarchModel {
         space: &ExecutionSpace<HwAnnot>,
         observed: &[(usize, Reg)],
     ) -> BTreeSet<Outcome> {
-        let compiled = self.compiled();
-        let view = space.executions();
-        let groups = space.outcome_groups(observed);
-        let Some(mut pool) = HwPool::over(view.arena()) else {
-            return BTreeSet::new();
-        };
-        // Stream-local prelude: see `permits`.
-        let prelude = compiled.prelude(&pool.bind(0));
-        let mut scratch = EvalScratch::default();
-        let mut out = BTreeSet::new();
-        for (outcome, members) in groups.iter() {
-            let mut witnessed = false;
-            compiled.check_batch(&prelude, &mut pool, members, &mut scratch, |_, ok| {
-                witnessed = ok;
-                !ok
-            });
-            if witnessed {
-                out.insert(outcome.clone());
-            }
-        }
-        out
+        observable_sets(self.compiled(), space, observed, &mut JudgeWork::default()).swap_remove(0)
     }
+}
+
+/// The work one shared-space judgement did, for sweep counters.
+#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
+pub struct JudgeWork {
+    /// Judging streams opened — one kernel prelude evaluated each.
+    pub streams: usize,
+    /// Candidate judgements made (each one replays its stream's
+    /// prelude).
+    pub judged: usize,
+}
+
+/// Several µarch models judging shared execution spaces together.
+///
+/// The models are lowered into one multi-output [`CompiledModel`]
+/// (bit `k` of every verdict mask is `models[k]`), so the base
+/// relations, definitions and axiom tests they share are evaluated once
+/// per candidate instead of once per model — the seven Table 7 models
+/// of one ISA version share their communication relations and their
+/// sc-per-location and atomicity axioms outright. Each judgement opens
+/// one matching view (or outcome partition), binds each candidate once,
+/// evaluates one prelude, and stops as soon as every model has its
+/// answer. Verdicts are bit-identical to asking each model's
+/// [`UarchModel::observes_in`] / [`UarchModel::observable_outcomes_in`]
+/// separately.
+#[derive(Clone, Debug)]
+pub struct FusedJudge {
+    kernel: CompiledModel,
+}
+
+impl FusedJudge {
+    /// Compiles the fused kernel of `models`.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `models` holds 1 to [`CompiledModel::MAX_MODELS`]
+    /// models.
+    #[must_use]
+    pub fn new(models: &[&UarchModel]) -> Self {
+        let irs: Vec<&ModelIr> = models.iter().map(|m| m.ir()).collect();
+        FusedJudge {
+            kernel: CompiledModel::compile(&irs, HW_INVARIANT_BASES),
+        }
+    }
+
+    /// The fused kernel.
+    #[must_use]
+    pub fn kernel(&self) -> &CompiledModel {
+        &self.kernel
+    }
+
+    /// Target mode: bit `k` is set iff model `k` can observe `target`
+    /// on the space's program. One stream over the matching view, ended
+    /// as soon as every model has a witness.
+    #[must_use]
+    pub fn observes_in(
+        &self,
+        space: &ExecutionSpace<HwAnnot>,
+        target: &Outcome,
+        work: &mut JudgeWork,
+    ) -> u64 {
+        witness_mask(&self.kernel, space, target, self.kernel.all_models(), work)
+    }
+
+    /// Full-outcome mode: entry `k` is model `k`'s observable-outcome
+    /// set. One stream over the space's outcome partition; within each
+    /// outcome group a candidate is judged only for the models that
+    /// have not yet witnessed that outcome.
+    #[must_use]
+    pub fn observable_outcomes_in(
+        &self,
+        space: &ExecutionSpace<HwAnnot>,
+        observed: &[(usize, Reg)],
+        work: &mut JudgeWork,
+    ) -> Vec<BTreeSet<Outcome>> {
+        observable_sets(&self.kernel, space, observed, work)
+    }
+}
+
+/// The models of `wanted` (bits of `kernel`) that accept some candidate
+/// of the space producing `target`.
+fn witness_mask(
+    kernel: &CompiledModel,
+    space: &ExecutionSpace<HwAnnot>,
+    target: &Outcome,
+    wanted: u64,
+    work: &mut JudgeWork,
+) -> u64 {
+    let view = space.matching(target);
+    if view.is_empty() {
+        return 0;
+    }
+    let indices = view.indices();
+    let mut pool = HwPool::over(view.arena()).expect("non-empty view has candidates");
+    // The prelude lives for exactly this stream: it already serves
+    // every candidate and every model of the (space, kernel) pair.
+    let prelude = kernel.prelude(&pool.bind(indices[0]));
+    let (witnessed, judged) = kernel.witness_batch(
+        &prelude,
+        &mut pool,
+        &indices,
+        wanted,
+        &mut EvalScratch::default(),
+    );
+    work.streams += 1;
+    work.judged += judged;
+    witnessed
+}
+
+/// Every model's observable-outcome set over the space's outcome
+/// partition, one entry per model of `kernel`.
+fn observable_sets(
+    kernel: &CompiledModel,
+    space: &ExecutionSpace<HwAnnot>,
+    observed: &[(usize, Reg)],
+    work: &mut JudgeWork,
+) -> Vec<BTreeSet<Outcome>> {
+    let mut sets = vec![BTreeSet::new(); kernel.model_count()];
+    let view = space.executions();
+    let groups = space.outcome_groups(observed);
+    let Some(mut pool) = HwPool::over(view.arena()) else {
+        return sets;
+    };
+    let prelude = kernel.prelude(&pool.bind(0));
+    let mut scratch = EvalScratch::default();
+    work.streams += 1;
+    for (outcome, members) in groups.iter() {
+        let (mut witnessed, judged) = kernel.witness_batch(
+            &prelude,
+            &mut pool,
+            members,
+            kernel.all_models(),
+            &mut scratch,
+        );
+        work.judged += judged;
+        while witnessed != 0 {
+            sets[witnessed.trailing_zeros() as usize].insert(outcome.clone());
+            witnessed &= witnessed - 1;
+        }
+    }
+    sets
 }
 
 /// A [`BindingPool`] over a columnar space arena: one reusable
@@ -813,6 +904,61 @@ mod tests {
 
     fn basea_ours(test: &LitmusTest, model: &UarchModel) -> bool {
         observes(test, riscv_mapping(BaseA, Ours), model)
+    }
+
+    #[test]
+    fn fused_table7_kernels_share_prelude_and_body_operations() {
+        for version in [Curr, Ours] {
+            let models = UarchModel::all_riscv(version);
+            let refs: Vec<&UarchModel> = models.iter().collect();
+            let fused = FusedJudge::new(&refs);
+            let kernel = fused.kernel();
+            assert_eq!(kernel.model_count(), 7);
+            let prelude: usize = models.iter().map(|m| m.compiled().prelude_op_count()).sum();
+            let body: usize = models.iter().map(|m| m.compiled().body_op_count()).sum();
+            assert!(
+                kernel.prelude_op_count() < prelude,
+                "{version:?}: fused prelude {} vs {prelude} separately",
+                kernel.prelude_op_count()
+            );
+            assert!(
+                kernel.body_op_count() < body,
+                "{version:?}: fused body {} vs {body} separately",
+                kernel.body_op_count()
+            );
+        }
+    }
+
+    #[test]
+    fn fused_judge_matches_each_model_on_a_shared_space() {
+        let models = UarchModel::all_riscv(Curr);
+        let refs: Vec<&UarchModel> = models.iter().collect();
+        let fused = FusedJudge::new(&refs);
+        let mapping = riscv_mapping(BaseA, Curr);
+        for test in [suite::fig3_wrc(), suite::sb([MemOrder::Rlx; 4])] {
+            let compiled = compile(&test, mapping).expect("compiles");
+            let space = ExecutionSpace::pruned(compiled.program().clone());
+            let mut work = JudgeWork::default();
+            let mask = fused.observes_in(&space, compiled.target(), &mut work);
+            let sets = fused.observable_outcomes_in(&space, compiled.observed(), &mut work);
+            assert_eq!(work.streams, 2, "one stream per judgement");
+            for (k, model) in models.iter().enumerate() {
+                assert_eq!(
+                    mask >> k & 1 == 1,
+                    model.observes_in(&space, compiled.target()),
+                    "{} on {}",
+                    model.name(),
+                    test.name()
+                );
+                assert_eq!(
+                    sets[k],
+                    model.observable_outcomes_in(&space, compiled.observed()),
+                    "{} on {}",
+                    model.name(),
+                    test.name()
+                );
+            }
+        }
     }
 
     // ---- §5.1.1: lack of cumulative lightweight fences (WRC) ----

@@ -142,20 +142,26 @@ fn metrics_json_schema_is_pinned() {
         );
     }
 
-    // stacks[]: one per-cell latency row per matrix stack, labelled.
+    // stacks[]: one latency row per mapping group (the sweep's work
+    // unit), labelled isa/variant.
     let stacks = parsed
         .get("stacks")
         .and_then(json::Value::as_array)
         .expect("stacks must be an array");
-    assert_eq!(stacks.len(), 28, "the Figure 15 matrix has 28 stacks");
+    assert_eq!(
+        stacks.len(),
+        4,
+        "the Figure 15 matrix has 4 mapping groups of 7 stacks"
+    );
     for stack in stacks {
         let label = stack
             .get("label")
             .and_then(json::Value::as_str)
             .expect("stack.label must be a string");
-        assert!(
-            label.contains('/'),
-            "label {label} must be isa/variant/model"
+        assert_eq!(
+            label.matches('/').count(),
+            1,
+            "label {label} must be isa/variant"
         );
         for field in ["total_ns", "count", "p50_ns", "p95_ns", "max_ns"] {
             as_u64(stack.get(field).expect(field), field);
@@ -206,9 +212,15 @@ fn metrics_counters_match_sweep_stats() {
     let cell = report.phase("cell").expect("cell phase");
     assert_eq!(
         cell.count,
-        (stats.tests * stats.cells) as u64,
-        "one cell span per (test, stack) item"
+        (stats.tests * 4) as u64,
+        "one cell span per (test, mapping group) item"
     );
+    // One kernel prelude per judging stream: at most one per
+    // (test, mapping) pair, where per-model kernels needed up to 7x.
+    let preludes = report.phase("prelude_eval").expect("prelude_eval phase");
+    assert!(stats.prelude_misses > 0, "prelude_misses must be live");
+    assert!(stats.prelude_misses <= stats.compile_calls);
+    assert!(preludes.count >= stats.prelude_misses as u64);
 }
 
 /// Two identical serial runs produce identical counter sets and span

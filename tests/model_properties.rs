@@ -144,48 +144,96 @@ proptest! {
     /// x86-TSO stacks). For data-defined (IR-only) models `check` is the
     /// interpreter itself, so the comparison degenerates to compiled ==
     /// interpreted — still the pin that matters.
+    ///
+    /// The same pin covers fusion: each mapping's models are also
+    /// lowered into one multi-output kernel, and bit `k` of its verdict
+    /// mask must equal model `k`'s single-model verdict on every
+    /// candidate (also when only some models are wanted), and the fused
+    /// judge must reproduce every model's one-shot verdict in both
+    /// outcome modes.
     #[test]
     fn ir_uarch_models_agree_with_the_imperative_oracles(test in arb_variant()) {
-        let mut stacks: Vec<(&dyn Mapping, UarchModel)> = Vec::new();
+        use tricheck::litmus::ExecutionSpace;
+        use tricheck::rel::EvalScratch;
+        use tricheck::uarch::{FusedJudge, HwBinding, JudgeWork};
+
+        let mut groups: Vec<(&dyn Mapping, Vec<UarchModel>)> = Vec::new();
         for version in [SpecVersion::Curr, SpecVersion::Ours] {
             for isa in [RiscvIsa::Base, RiscvIsa::BaseA] {
-                for model in UarchModel::all_riscv(version) {
-                    stacks.push((riscv_mapping(isa, version), model));
-                }
+                groups.push((riscv_mapping(isa, version), UarchModel::all_riscv(version)));
             }
         }
-        for model in UarchModel::all_armv7() {
-            stacks.push((power_mapping(PowerSyncStyle::Leading), model));
-        }
+        groups.push((power_mapping(PowerSyncStyle::Leading), UarchModel::all_armv7()));
         for style in [X86MappingStyle::ScAtomics, X86MappingStyle::Relaxed] {
-            for model in UarchModel::all_x86() {
-                stacks.push((x86_mapping(style), model));
-            }
+            groups.push((x86_mapping(style), UarchModel::all_x86()));
         }
-        for (mapping, model) in stacks {
-            let compiled = compile(&test, mapping).unwrap();
+        for (mapping, models) in &groups {
+            let compiled = compile(&test, *mapping).unwrap();
+            let refs: Vec<&UarchModel> = models.iter().collect();
+            let fused = FusedJudge::new(&refs);
+            let kernel = fused.kernel();
+            let mut scratch = EvalScratch::default();
             let mut checked = 0;
             tricheck::litmus::enumerate_executions(compiled.program(), &mut |exec| {
-                let kernel = model.consistent(exec); // compiled bitset kernel
-                let binding = tricheck::uarch::HwBinding::new(exec);
+                let binding = HwBinding::new(exec);
+                let prelude = kernel.prelude(&binding);
+                let mask = kernel.verdicts_with_scratch(&prelude, &binding, kernel.all_models(), &mut scratch);
+                // Every other model wanted, rotating: skipped models must
+                // not perturb the wanted ones' bits.
+                let some = 0x5555_5555_5555_5555u64 << (checked % 2);
                 assert_eq!(
-                    kernel,
-                    model.ir().consistent(&binding), // tree-walking interpreter
-                    "{} compiled kernel disagrees with the interpreter on {} (candidate {checked})",
-                    model.name(),
+                    kernel.verdicts_with_scratch(&prelude, &binding, some, &mut scratch),
+                    mask & some,
+                    "partial wanted mask on {} (candidate {checked})",
                     test.name()
                 );
-                assert_eq!(
-                    kernel,
-                    model.check(exec).is_ok(),       // imperative oracle
-                    "{} compiled kernel disagrees with the oracle on {} (candidate {checked})",
-                    model.name(),
-                    test.name()
-                );
+                for (k, model) in models.iter().enumerate() {
+                    let single = model.consistent(exec); // compiled bitset kernel
+                    assert_eq!(
+                        mask >> k & 1 == 1,
+                        single,
+                        "{} fused bit {k} disagrees with its own kernel on {} (candidate {checked})",
+                        model.name(),
+                        test.name()
+                    );
+                    assert_eq!(
+                        single,
+                        model.ir().consistent(&binding), // tree-walking interpreter
+                        "{} compiled kernel disagrees with the interpreter on {} (candidate {checked})",
+                        model.name(),
+                        test.name()
+                    );
+                    assert_eq!(
+                        single,
+                        model.check(exec).is_ok(),       // imperative oracle
+                        "{} compiled kernel disagrees with the oracle on {} (candidate {checked})",
+                        model.name(),
+                        test.name()
+                    );
+                }
                 checked += 1;
                 checked < 60
             });
             prop_assert!(checked > 0);
+
+            let space = ExecutionSpace::pruned(compiled.program().clone());
+            let mut work = JudgeWork::default();
+            let observes = fused.observes_in(&space, compiled.target(), &mut work);
+            let outcomes = fused.observable_outcomes_in(&space, compiled.observed(), &mut work);
+            for (k, model) in models.iter().enumerate() {
+                prop_assert!(
+                    (observes >> k & 1 == 1) == model.observes(compiled.program(), compiled.target()),
+                    "{} fused target verdict on {}",
+                    model.name(),
+                    test.name()
+                );
+                prop_assert!(
+                    outcomes[k] == model.observable_outcomes(compiled.program(), compiled.observed()),
+                    "{} fused outcome set on {}",
+                    model.name(),
+                    test.name()
+                );
+            }
         }
     }
 
