@@ -4,7 +4,7 @@
 //! (a `dmb` fence after relaxed atomic loads).
 
 use tricheck_c11::C11Model;
-use tricheck_compiler::{compile, CompileError, Mapping, PowerLeadingSync};
+use tricheck_compiler::{compile, power_mapping, CompileError, Mapping, PowerSyncStyle};
 use tricheck_isa::{format_program, AccessTypes, Asm, FenceKind, HwAnnot};
 use tricheck_litmus::{suite, Expr, Instr, MemOrder, Reg};
 use tricheck_uarch::UarchModel;
@@ -24,7 +24,7 @@ impl Mapping for ArmWithLdLdFix {
         addr: Expr,
         mo: MemOrder,
     ) -> Result<Vec<Instr<HwAnnot>>, CompileError> {
-        let mut seq = PowerLeadingSync.load(dst, addr, mo)?;
+        let mut seq = power_mapping(PowerSyncStyle::Leading).load(dst, addr, mo)?;
         if mo == MemOrder::Rlx {
             seq.push(Instr::Fence {
                 ann: HwAnnot::Fence(FenceKind::CumulativeHeavy),
@@ -40,7 +40,7 @@ impl Mapping for ArmWithLdLdFix {
         mo: MemOrder,
         scratch: Reg,
     ) -> Result<Vec<Instr<HwAnnot>>, CompileError> {
-        PowerLeadingSync.store(addr, val, mo, scratch)
+        power_mapping(PowerSyncStyle::Leading).store(addr, val, mo, scratch)
     }
 }
 
@@ -63,7 +63,7 @@ fn main() {
         }
     );
 
-    let stock = compile(&test, &PowerLeadingSync).expect("compiles");
+    let stock = compile(&test, power_mapping(PowerSyncStyle::Leading)).expect("compiles");
     println!(
         "compiled for ARMv7 (leading-sync):\n{}",
         format_program(stock.program(), Asm::Power)

@@ -2,8 +2,8 @@
 //! and 14: what each key test looks like after compilation with the
 //! Intuitive mappings.
 
-use tricheck_compiler::{compile, BaseAIntuitive, BaseIntuitive, Mapping};
-use tricheck_isa::{format_program, Asm};
+use tricheck_compiler::{compile, riscv_mapping, Mapping};
+use tricheck_isa::{format_program, Asm, RiscvIsa, SpecVersion};
 use tricheck_litmus::{suite, LitmusTest};
 
 fn show(figure: &str, test: &LitmusTest, mapping: &dyn Mapping) {
@@ -14,29 +14,31 @@ fn show(figure: &str, test: &LitmusTest, mapping: &dyn Mapping) {
 }
 
 fn main() {
+    let base_intuitive = riscv_mapping(RiscvIsa::Base, SpecVersion::Curr);
+    let base_a_intuitive = riscv_mapping(RiscvIsa::BaseA, SpecVersion::Curr);
     show(
         "Figure 8 (WRC, Base Intuitive)",
         &suite::fig3_wrc(),
-        &BaseIntuitive,
+        base_intuitive,
     );
     show(
         "Figure 9 (IRIW all-SC, Base Intuitive)",
         &suite::fig4_iriw_sc(),
-        &BaseIntuitive,
+        base_intuitive,
     );
     show(
         "Figure 10 (WRC, Base+A Intuitive)",
         &suite::fig3_wrc(),
-        &BaseAIntuitive,
+        base_a_intuitive,
     );
     show(
         "Figure 12 (MP roach-motel, Base+A Intuitive)",
         &suite::fig11_mp_roach_motel(),
-        &BaseAIntuitive,
+        base_a_intuitive,
     );
     show(
         "Figure 14 (MP with address dependency, Base+A Intuitive)",
         &suite::fig13_mp_lazy(),
-        &BaseAIntuitive,
+        base_a_intuitive,
     );
 }

@@ -1,10 +1,8 @@
 //! Regenerates the paper's Tables 1–3 (compiler mappings) and
 //! Figure 7 (the µSpec model relaxation matrix).
 
-use tricheck_compiler::{
-    BaseAIntuitive, BaseARefined, BaseIntuitive, BaseRefined, Mapping, PowerLeadingSync,
-};
-use tricheck_isa::{format_instr, Asm, SpecVersion};
+use tricheck_compiler::{power_mapping, riscv_mapping, Mapping, PowerSyncStyle::Leading};
+use tricheck_isa::{format_instr, Asm, RiscvIsa, SpecVersion};
 use tricheck_litmus::{Expr, MemOrder, Reg};
 use tricheck_uarch::{StoreAtomicity, UarchConfig};
 
@@ -74,20 +72,27 @@ fn print_figure7() {
 }
 
 fn main() {
+    let [base_intuitive, base_refined, base_a_intuitive, base_a_refined] = [
+        (RiscvIsa::Base, SpecVersion::Curr),
+        (RiscvIsa::Base, SpecVersion::Ours),
+        (RiscvIsa::BaseA, SpecVersion::Curr),
+        (RiscvIsa::BaseA, SpecVersion::Ours),
+    ]
+    .map(|(isa, version)| riscv_mapping(isa, version));
     print_mapping_table(
         "Table 1: leading-sync C11 -> Power",
         Asm::Power,
-        &[("Power (leading-sync)", &PowerLeadingSync)],
+        &[("Power (leading-sync)", power_mapping(Leading))],
     );
     print_mapping_table(
         "Table 2: C11 -> RISC-V Base",
         Asm::RiscV,
-        &[("Intuitive", &BaseIntuitive), ("Refined", &BaseRefined)],
+        &[("Intuitive", base_intuitive), ("Refined", base_refined)],
     );
     print_mapping_table(
         "Table 3: C11 -> RISC-V Base+A",
         Asm::RiscV,
-        &[("Intuitive", &BaseAIntuitive), ("Refined", &BaseARefined)],
+        &[("Intuitive", base_a_intuitive), ("Refined", base_a_refined)],
     );
     print_figure7();
 }

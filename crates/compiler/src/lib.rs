@@ -1,19 +1,24 @@
 //! C11 → ISA compiler mappings — TriCheck's Step 2 (HLL→ISA COMPILATION).
 //!
 //! A [`Mapping`] turns each C11 atomic access into a sequence of hardware
-//! instructions (fences, plain accesses, AMOs). This crate provides every
-//! mapping the paper evaluates:
+//! instructions (fences, plain accesses, AMOs). Every mapping the paper
+//! evaluates is a [`TableMapping`]: one row per (operation, memory
+//! orders), in the [table-row syntax](table) that runtime stack files
+//! use.
 //!
-//! | mapping | paper artifact |
-//! |---------|----------------|
-//! | [`BaseIntuitive`] | Table 2, "Intuitive" column |
-//! | [`BaseRefined`] | Table 2, "Refined" column (§5.3) |
-//! | [`BaseAIntuitive`] | Table 3, "Intuitive" column |
-//! | [`BaseARefined`] | Table 3, "Refined" column (§5.3) |
-//! | [`PowerLeadingSync`] | Table 1 (McKenney–Silvera leading-sync) |
-//! | [`PowerTrailingSync`] | Batty et al. trailing-sync (§7) |
-//! | [`X86ScAtomics`] | the standard C11 → x86 SC-atomics mapping |
-//! | [`X86Relaxed`] | unfenced x86 strawman (exposes SC store buffering) |
+//! | mapping | paper artifact | rows live in |
+//! |---------|----------------|--------------|
+//! | `riscv-base-intuitive` | Table 2, "Intuitive" column | this crate, [`riscv_mapping`] |
+//! | `riscv-base-refined` | Table 2, "Refined" column (§5.3) | this crate, [`riscv_mapping`] |
+//! | `riscv-base+a-intuitive` | Table 3, "Intuitive" column | this crate, [`riscv_mapping`] |
+//! | `riscv-base+a-refined` | Table 3, "Refined" column (§5.3) | this crate, [`riscv_mapping`] |
+//! | `power-leading-sync` | Table 1 (McKenney–Silvera leading-sync) | this crate, [`power_mapping`] |
+//! | `power-trailing-sync` | Batty et al. trailing-sync (§7) | this crate, [`power_mapping`] |
+//! | `x86-sc-atomics` | the standard C11 → x86 SC-atomics mapping | `models/x86-tso.stack` |
+//! | `x86-relaxed` | unfenced x86 strawman (exposes SC store buffering) | `models/x86-tso.stack` |
+//!
+//! The x86 mappings are loaded with the rest of their stack file by
+//! `tricheck_core::x86_stacks`.
 //!
 //! [`compile`] applies a mapping to a whole litmus test, preserving the
 //! observable registers so language-level and ISA-level outcomes can be
@@ -22,11 +27,12 @@
 //! # Examples
 //!
 //! ```
-//! use tricheck_compiler::{compile, BaseIntuitive, Mapping};
-//! use tricheck_isa::{format_program, Asm};
+//! use tricheck_compiler::{compile, riscv_mapping};
+//! use tricheck_isa::{format_program, Asm, RiscvIsa, SpecVersion};
 //! use tricheck_litmus::suite;
 //!
-//! let compiled = compile(&suite::fig3_wrc(), &BaseIntuitive)?;
+//! let intuitive = riscv_mapping(RiscvIsa::Base, SpecVersion::Curr);
+//! let compiled = compile(&suite::fig3_wrc(), intuitive)?;
 //! let listing = format_program(compiled.program(), Asm::RiscV);
 //! assert!(listing.contains("fence rw, w")); // the release-side fence
 //! # Ok::<(), tricheck_compiler::CompileError>(())
@@ -37,8 +43,9 @@
 
 use std::error::Error;
 use std::fmt;
+use std::sync::LazyLock;
 
-use tricheck_isa::{AccessTypes, AmoBits, FenceKind, HwAnnot, RiscvIsa, SpecVersion};
+use tricheck_isa::{HwAnnot, RiscvIsa, SpecVersion};
 use tricheck_litmus::{
     Expr, Instr, LitmusTest, MemOrder, Outcome, Program, ProgramError, Reg, RmwKind,
 };
@@ -119,8 +126,9 @@ pub trait Mapping: Sync {
     ///
     /// # Errors
     ///
-    /// Returns [`CompileError::Unsupported`]; only the Base+A mappings
-    /// implement RMWs (the paper's suite does not exercise C11 RMWs).
+    /// Returns [`CompileError::Unsupported`] by default; among the
+    /// built-ins only the Base+A tables define RMW rows (the paper's
+    /// suite does not exercise C11 RMWs).
     fn rmw(
         &self,
         _dst: Reg,
@@ -135,615 +143,118 @@ pub trait Mapping: Sync {
     }
 }
 
-fn fence(pred: AccessTypes, succ: AccessTypes) -> Instr<HwAnnot> {
-    Instr::Fence {
-        ann: HwAnnot::Fence(FenceKind::Normal { pred, succ }),
-    }
-}
+/// The six built-in RISC-V and Power mappings, one table each, in the
+/// [table-row syntax](table) runtime stack files use. Indexed by
+/// [`riscv_mapping`] and [`power_mapping`]; the x86 study's two tables
+/// live in `models/x86-tso.stack`.
+const BUILTIN_TABLES: [(&str, &str); 6] = [
+    // Table 2, "Intuitive": from the 2016 manual's fence descriptions.
+    (
+        "riscv-base-intuitive",
+        "ld rlx = ld
+         ld acq = ld; fence r,rw
+         ld sc = fence rw,rw; ld; fence rw,rw
+         st rlx = st
+         st rel = fence rw,w; st
+         st sc = fence rw,rw; st",
+    ),
+    // Table 2, "Refined": the proposed cumulative fences (§5.3).
+    (
+        "riscv-base-refined",
+        "ld rlx = ld
+         ld acq = ld; fence r,rw
+         ld sc = hwfence; ld; fence r,rw
+         st rlx = st
+         st rel = lwfence; st
+         st sc = hwfence; st",
+    ),
+    // Table 3, "Intuitive": AMOADD-zero loads, AMOSWAP stores; the 2016
+    // ISA's `aq.rl` implies store atomicity, hence `.sc`.
+    (
+        "riscv-base+a-intuitive",
+        "ld rlx = ld
+         ld acq = amo.ld.aq
+         ld sc = amo.ld.aq.rl.sc
+         st rlx = st
+         st rel = amo.st.rl
+         st sc = amo.st.aq.rl.sc
+         rmw rlx = rmw
+         rmw acq = rmw.aq
+         rmw rel = rmw.rl
+         rmw acq-rel|sc = rmw.aq.rl.sc",
+    ),
+    // Table 3, "Refined": the decoupled `.sc` bit (§5.2.2, §5.3).
+    (
+        "riscv-base+a-refined",
+        "ld rlx = ld
+         ld acq = amo.ld.aq
+         ld sc = amo.ld.aq.sc
+         st rlx = st
+         st rel = amo.st.rl
+         st sc = amo.st.rl.sc
+         rmw rlx = rmw
+         rmw acq = rmw.aq
+         rmw rel = rmw.rl
+         rmw acq-rel = rmw.aq.rl
+         rmw sc = rmw.aq.rl.sc",
+    ),
+    // Table 1: McKenney–Silvera leading-sync (`hwfence` is `sync`).
+    (
+        "power-leading-sync",
+        "ld rlx = ld
+         ld acq = ld; ctrlisync
+         ld sc = hwfence; ld; ctrlisync
+         st rlx = st
+         st rel = lwfence; st
+         st sc = hwfence; st",
+    ),
+    // Batty et al. trailing-sync, invalidated by the §7 analysis.
+    (
+        "power-trailing-sync",
+        "ld rlx = ld
+         ld acq = ld; ctrlisync
+         ld sc = ld; hwfence
+         st rlx = st
+         st rel = lwfence; st
+         st sc = lwfence; st; hwfence",
+    ),
+];
 
-fn lwf() -> Instr<HwAnnot> {
-    Instr::Fence {
-        ann: HwAnnot::Fence(FenceKind::CumulativeLight),
-    }
-}
-
-fn hwf() -> Instr<HwAnnot> {
-    Instr::Fence {
-        ann: HwAnnot::Fence(FenceKind::CumulativeHeavy),
-    }
-}
-
-fn plain_load(dst: Reg, addr: Expr) -> Instr<HwAnnot> {
-    Instr::Read {
-        dst,
-        addr,
-        ann: HwAnnot::Plain,
-    }
-}
-
-fn plain_store(addr: Expr, val: Expr) -> Instr<HwAnnot> {
-    Instr::Write {
-        addr,
-        val,
-        ann: HwAnnot::Plain,
-    }
-}
-
-/// The AMO-as-load idiom (`amoadd.w dst, x0, (addr)`): the zero-add write
-/// puts back the value just read, so it is architecturally invisible; the
-/// paper's µspec models treat it as a load carrying the AMO ordering
-/// bits, and so do we. (A genuine C11 RMW still compiles to `Instr::Rmw`.)
-fn amo_load(dst: Reg, addr: Expr, bits: AmoBits) -> Instr<HwAnnot> {
-    Instr::Read {
-        dst,
-        addr,
-        ann: HwAnnot::Amo(bits),
-    }
-}
-
-fn amo_store(scratch: Reg, addr: Expr, val: Expr, bits: AmoBits) -> Instr<HwAnnot> {
-    Instr::Rmw {
-        dst: scratch,
-        addr,
-        kind: RmwKind::Swap(val),
-        ann: HwAnnot::Amo(bits),
-    }
-}
-
-/// Table 2, "Intuitive": the mapping a compiler writer would derive from
-/// the 2016 RISC-V manual's fence descriptions alone.
-///
-/// `ld acq → ld; fence r,rw` · `ld sc → fence rw,rw; ld; fence rw,rw` ·
-/// `st rel → fence rw,w; st` · `st sc → fence rw,rw; st`.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct BaseIntuitive;
-
-impl Mapping for BaseIntuitive {
-    fn name(&self) -> &'static str {
-        "riscv-base-intuitive"
-    }
-
-    fn load(
-        &self,
-        dst: Reg,
-        addr: Expr,
-        mo: MemOrder,
-    ) -> Result<Vec<Instr<HwAnnot>>, CompileError> {
-        Ok(match mo {
-            MemOrder::Rlx => vec![plain_load(dst, addr)],
-            MemOrder::Acq => vec![
-                plain_load(dst, addr),
-                fence(AccessTypes::R, AccessTypes::RW),
-            ],
-            MemOrder::Sc => vec![
-                fence(AccessTypes::RW, AccessTypes::RW),
-                plain_load(dst, addr),
-                fence(AccessTypes::RW, AccessTypes::RW),
-            ],
-            MemOrder::Rel | MemOrder::AcqRel => {
-                return Err(CompileError::Unsupported {
-                    mapping: self.name(),
-                    construct: "release-ordered load",
-                })
-            }
-        })
-    }
-
-    fn store(
-        &self,
-        addr: Expr,
-        val: Expr,
-        mo: MemOrder,
-        _scratch: Reg,
-    ) -> Result<Vec<Instr<HwAnnot>>, CompileError> {
-        Ok(match mo {
-            MemOrder::Rlx => vec![plain_store(addr, val)],
-            MemOrder::Rel => {
-                vec![
-                    fence(AccessTypes::RW, AccessTypes::W),
-                    plain_store(addr, val),
-                ]
-            }
-            MemOrder::Sc => {
-                vec![
-                    fence(AccessTypes::RW, AccessTypes::RW),
-                    plain_store(addr, val),
-                ]
-            }
-            MemOrder::Acq | MemOrder::AcqRel => {
-                return Err(CompileError::Unsupported {
-                    mapping: self.name(),
-                    construct: "acquire-ordered store",
-                })
-            }
-        })
-    }
-}
-
-/// Table 2, "Refined": the paper's corrected Base mapping, using the
-/// proposed cumulative fences (§5.3).
-///
-/// `ld sc → hwf; ld; fence r,rw` · `st rel → lwf; st` · `st sc → hwf; st`.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct BaseRefined;
-
-impl Mapping for BaseRefined {
-    fn name(&self) -> &'static str {
-        "riscv-base-refined"
-    }
-
-    fn load(
-        &self,
-        dst: Reg,
-        addr: Expr,
-        mo: MemOrder,
-    ) -> Result<Vec<Instr<HwAnnot>>, CompileError> {
-        Ok(match mo {
-            MemOrder::Rlx => vec![plain_load(dst, addr)],
-            MemOrder::Acq => vec![
-                plain_load(dst, addr),
-                fence(AccessTypes::R, AccessTypes::RW),
-            ],
-            MemOrder::Sc => {
-                vec![
-                    hwf(),
-                    plain_load(dst, addr),
-                    fence(AccessTypes::R, AccessTypes::RW),
-                ]
-            }
-            MemOrder::Rel | MemOrder::AcqRel => {
-                return Err(CompileError::Unsupported {
-                    mapping: self.name(),
-                    construct: "release-ordered load",
-                })
-            }
-        })
-    }
-
-    fn store(
-        &self,
-        addr: Expr,
-        val: Expr,
-        mo: MemOrder,
-        _scratch: Reg,
-    ) -> Result<Vec<Instr<HwAnnot>>, CompileError> {
-        Ok(match mo {
-            MemOrder::Rlx => vec![plain_store(addr, val)],
-            MemOrder::Rel => vec![lwf(), plain_store(addr, val)],
-            MemOrder::Sc => vec![hwf(), plain_store(addr, val)],
-            MemOrder::Acq | MemOrder::AcqRel => {
-                return Err(CompileError::Unsupported {
-                    mapping: self.name(),
-                    construct: "acquire-ordered store",
-                })
-            }
-        })
-    }
-}
-
-/// Table 3, "Intuitive": the AMO-based mapping the 2016 manual suggests
-/// (`AMOADD` of zero for loads, `AMOSWAP` for stores).
-///
-/// `ld acq → AMO.aq` · `ld sc → AMO.aq.rl` · `st rel → AMO.rl` ·
-/// `st sc → AMO.aq.rl`.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct BaseAIntuitive;
-
-impl Mapping for BaseAIntuitive {
-    fn name(&self) -> &'static str {
-        "riscv-base+a-intuitive"
-    }
-
-    fn load(
-        &self,
-        dst: Reg,
-        addr: Expr,
-        mo: MemOrder,
-    ) -> Result<Vec<Instr<HwAnnot>>, CompileError> {
-        Ok(match mo {
-            MemOrder::Rlx => vec![plain_load(dst, addr)],
-            MemOrder::Acq => vec![amo_load(dst, addr, AmoBits::AQ)],
-            MemOrder::Sc => vec![amo_load(dst, addr, AmoBits::AQ_RL)],
-            MemOrder::Rel | MemOrder::AcqRel => {
-                return Err(CompileError::Unsupported {
-                    mapping: self.name(),
-                    construct: "release-ordered load",
-                })
-            }
-        })
-    }
-
-    fn store(
-        &self,
-        addr: Expr,
-        val: Expr,
-        mo: MemOrder,
-        scratch: Reg,
-    ) -> Result<Vec<Instr<HwAnnot>>, CompileError> {
-        Ok(match mo {
-            MemOrder::Rlx => vec![plain_store(addr, val)],
-            MemOrder::Rel => vec![amo_store(scratch, addr, val, AmoBits::RL)],
-            MemOrder::Sc => vec![amo_store(scratch, addr, val, AmoBits::AQ_RL)],
-            MemOrder::Acq | MemOrder::AcqRel => {
-                return Err(CompileError::Unsupported {
-                    mapping: self.name(),
-                    construct: "acquire-ordered store",
-                })
-            }
-        })
-    }
-
-    fn rmw(
-        &self,
-        dst: Reg,
-        addr: Expr,
-        kind: RmwKind,
-        mo: MemOrder,
-    ) -> Result<Vec<Instr<HwAnnot>>, CompileError> {
-        let bits = match mo {
-            MemOrder::Rlx => AmoBits::NONE,
-            MemOrder::Acq => AmoBits::AQ,
-            MemOrder::Rel => AmoBits::RL,
-            MemOrder::AcqRel | MemOrder::Sc => AmoBits::AQ_RL,
-        };
-        Ok(vec![Instr::Rmw {
-            dst,
-            addr,
-            kind,
-            ann: HwAnnot::Amo(bits),
-        }])
-    }
-}
-
-/// Table 3, "Refined": the paper's corrected Base+A mapping using the
-/// decoupled `.sc` store-atomicity bit (§5.2.2, §5.3).
-///
-/// `ld sc → AMO.aq.sc` · `st sc → AMO.rl.sc` (releases are cumulative in
-/// the refined ISA, §5.2.1).
-#[derive(Clone, Copy, Debug, Default)]
-pub struct BaseARefined;
-
-impl Mapping for BaseARefined {
-    fn name(&self) -> &'static str {
-        "riscv-base+a-refined"
-    }
-
-    fn load(
-        &self,
-        dst: Reg,
-        addr: Expr,
-        mo: MemOrder,
-    ) -> Result<Vec<Instr<HwAnnot>>, CompileError> {
-        Ok(match mo {
-            MemOrder::Rlx => vec![plain_load(dst, addr)],
-            MemOrder::Acq => vec![amo_load(dst, addr, AmoBits::AQ)],
-            MemOrder::Sc => vec![amo_load(dst, addr, AmoBits::AQ_SC)],
-            MemOrder::Rel | MemOrder::AcqRel => {
-                return Err(CompileError::Unsupported {
-                    mapping: self.name(),
-                    construct: "release-ordered load",
-                })
-            }
-        })
-    }
-
-    fn store(
-        &self,
-        addr: Expr,
-        val: Expr,
-        mo: MemOrder,
-        scratch: Reg,
-    ) -> Result<Vec<Instr<HwAnnot>>, CompileError> {
-        Ok(match mo {
-            MemOrder::Rlx => vec![plain_store(addr, val)],
-            MemOrder::Rel => vec![amo_store(scratch, addr, val, AmoBits::RL)],
-            MemOrder::Sc => vec![amo_store(scratch, addr, val, AmoBits::RL_SC)],
-            MemOrder::Acq | MemOrder::AcqRel => {
-                return Err(CompileError::Unsupported {
-                    mapping: self.name(),
-                    construct: "acquire-ordered store",
-                })
-            }
-        })
-    }
-
-    fn rmw(
-        &self,
-        dst: Reg,
-        addr: Expr,
-        kind: RmwKind,
-        mo: MemOrder,
-    ) -> Result<Vec<Instr<HwAnnot>>, CompileError> {
-        let bits = match mo {
-            MemOrder::Rlx => AmoBits::NONE,
-            MemOrder::Acq => AmoBits::AQ,
-            MemOrder::Rel => AmoBits::RL,
-            MemOrder::AcqRel => AmoBits {
-                aq: true,
-                rl: true,
-                sc: false,
-            },
-            MemOrder::Sc => AmoBits::AQ_RL,
-        };
-        Ok(vec![Instr::Rmw {
-            dst,
-            addr,
-            kind,
-            ann: HwAnnot::Amo(bits),
-        }])
-    }
-}
-
-fn ctrlisync() -> Instr<HwAnnot> {
-    fence(AccessTypes::R, AccessTypes::RW)
-}
-
-/// Table 1: the McKenney–Silvera *leading-sync* C11 → Power mapping.
-///
-/// `ld acq → ld; ctrlisync` · `ld sc → sync; ld; ctrlisync` ·
-/// `st rel → lwsync; st` · `st sc → sync; st`.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct PowerLeadingSync;
-
-impl Mapping for PowerLeadingSync {
-    fn name(&self) -> &'static str {
-        "power-leading-sync"
-    }
-
-    fn load(
-        &self,
-        dst: Reg,
-        addr: Expr,
-        mo: MemOrder,
-    ) -> Result<Vec<Instr<HwAnnot>>, CompileError> {
-        Ok(match mo {
-            MemOrder::Rlx => vec![plain_load(dst, addr)],
-            MemOrder::Acq => vec![plain_load(dst, addr), ctrlisync()],
-            MemOrder::Sc => vec![hwf(), plain_load(dst, addr), ctrlisync()],
-            MemOrder::Rel | MemOrder::AcqRel => {
-                return Err(CompileError::Unsupported {
-                    mapping: self.name(),
-                    construct: "release-ordered load",
-                })
-            }
-        })
-    }
-
-    fn store(
-        &self,
-        addr: Expr,
-        val: Expr,
-        mo: MemOrder,
-        _scratch: Reg,
-    ) -> Result<Vec<Instr<HwAnnot>>, CompileError> {
-        Ok(match mo {
-            MemOrder::Rlx => vec![plain_store(addr, val)],
-            MemOrder::Rel => vec![lwf(), plain_store(addr, val)],
-            MemOrder::Sc => vec![hwf(), plain_store(addr, val)],
-            MemOrder::Acq | MemOrder::AcqRel => {
-                return Err(CompileError::Unsupported {
-                    mapping: self.name(),
-                    construct: "acquire-ordered store",
-                })
-            }
-        })
-    }
-}
-
-/// The Batty et al. *trailing-sync* C11 → Power mapping, "supposedly
-/// proven correct" and invalidated by TriCheck's §7 analysis.
-///
-/// `ld acq → ld; ctrlisync` · `ld sc → ld; sync` ·
-/// `st rel → lwsync; st` · `st sc → lwsync; st; sync`.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct PowerTrailingSync;
-
-impl Mapping for PowerTrailingSync {
-    fn name(&self) -> &'static str {
-        "power-trailing-sync"
-    }
-
-    fn load(
-        &self,
-        dst: Reg,
-        addr: Expr,
-        mo: MemOrder,
-    ) -> Result<Vec<Instr<HwAnnot>>, CompileError> {
-        Ok(match mo {
-            MemOrder::Rlx => vec![plain_load(dst, addr)],
-            MemOrder::Acq => vec![plain_load(dst, addr), ctrlisync()],
-            MemOrder::Sc => vec![plain_load(dst, addr), hwf()],
-            MemOrder::Rel | MemOrder::AcqRel => {
-                return Err(CompileError::Unsupported {
-                    mapping: self.name(),
-                    construct: "release-ordered load",
-                })
-            }
-        })
-    }
-
-    fn store(
-        &self,
-        addr: Expr,
-        val: Expr,
-        mo: MemOrder,
-        _scratch: Reg,
-    ) -> Result<Vec<Instr<HwAnnot>>, CompileError> {
-        Ok(match mo {
-            MemOrder::Rlx => vec![plain_store(addr, val)],
-            MemOrder::Rel => vec![lwf(), plain_store(addr, val)],
-            MemOrder::Sc => vec![lwf(), plain_store(addr, val), hwf()],
-            MemOrder::Acq | MemOrder::AcqRel => {
-                return Err(CompileError::Unsupported {
-                    mapping: self.name(),
-                    construct: "acquire-ordered store",
-                })
-            }
-        })
-    }
-}
-
-fn mfence() -> Instr<HwAnnot> {
-    Instr::Fence {
-        ann: HwAnnot::Fence(FenceKind::Mfence),
-    }
-}
-
-/// The standard C11 → x86 SC-atomics mapping: plain `mov`s everywhere,
-/// with an `mfence` after each SC store. TSO already gives acquire loads
-/// and release stores for free; the fence only restores W→R order for
-/// SC accesses (the store-buffering case).
-#[derive(Clone, Copy, Debug, Default)]
-pub struct X86ScAtomics;
-
-impl Mapping for X86ScAtomics {
-    fn name(&self) -> &'static str {
-        "x86-sc-atomics"
-    }
-
-    fn load(
-        &self,
-        dst: Reg,
-        addr: Expr,
-        mo: MemOrder,
-    ) -> Result<Vec<Instr<HwAnnot>>, CompileError> {
-        Ok(match mo {
-            MemOrder::Rlx | MemOrder::Acq | MemOrder::Sc => vec![plain_load(dst, addr)],
-            MemOrder::Rel | MemOrder::AcqRel => {
-                return Err(CompileError::Unsupported {
-                    mapping: self.name(),
-                    construct: "release-ordered load",
-                })
-            }
-        })
-    }
-
-    fn store(
-        &self,
-        addr: Expr,
-        val: Expr,
-        mo: MemOrder,
-        _scratch: Reg,
-    ) -> Result<Vec<Instr<HwAnnot>>, CompileError> {
-        Ok(match mo {
-            MemOrder::Rlx | MemOrder::Rel => vec![plain_store(addr, val)],
-            MemOrder::Sc => vec![plain_store(addr, val), mfence()],
-            MemOrder::Acq | MemOrder::AcqRel => {
-                return Err(CompileError::Unsupported {
-                    mapping: self.name(),
-                    construct: "acquire-ordered store",
-                })
-            }
-        })
-    }
-}
-
-/// The deliberately *unfenced* C11 → x86 mapping: every atomic access
-/// becomes a bare `mov`. Correct for relaxed/acquire/release on TSO,
-/// wrong for seq_cst — SC store buffering slips through, which is
-/// exactly the miscompilation `Sweep::run_x86` is built to expose.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct X86Relaxed;
-
-impl Mapping for X86Relaxed {
-    fn name(&self) -> &'static str {
-        "x86-relaxed"
-    }
-
-    fn load(
-        &self,
-        dst: Reg,
-        addr: Expr,
-        mo: MemOrder,
-    ) -> Result<Vec<Instr<HwAnnot>>, CompileError> {
-        Ok(match mo {
-            MemOrder::Rlx | MemOrder::Acq | MemOrder::Sc => vec![plain_load(dst, addr)],
-            MemOrder::Rel | MemOrder::AcqRel => {
-                return Err(CompileError::Unsupported {
-                    mapping: self.name(),
-                    construct: "release-ordered load",
-                })
-            }
-        })
-    }
-
-    fn store(
-        &self,
-        addr: Expr,
-        val: Expr,
-        mo: MemOrder,
-        _scratch: Reg,
-    ) -> Result<Vec<Instr<HwAnnot>>, CompileError> {
-        Ok(match mo {
-            MemOrder::Rlx | MemOrder::Rel | MemOrder::Sc => vec![plain_store(addr, val)],
-            MemOrder::Acq | MemOrder::AcqRel => {
-                return Err(CompileError::Unsupported {
-                    mapping: self.name(),
-                    construct: "acquire-ordered store",
-                })
-            }
-        })
-    }
-}
-
-/// Which C11 → x86 mapping a stack of the x86 study uses — the axis the
-/// `run_x86` matrix sweeps over.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
-pub enum X86MappingStyle {
-    /// The standard SC-atomics mapping ([`X86ScAtomics`]).
-    ScAtomics,
-    /// The unfenced strawman ([`X86Relaxed`]).
-    Relaxed,
-}
-
-impl X86MappingStyle {
-    /// Both styles, correct mapping first.
-    pub const ALL: [X86MappingStyle; 2] = [X86MappingStyle::ScAtomics, X86MappingStyle::Relaxed];
-
-    /// The short label used in reports and row keys.
-    #[must_use]
-    pub fn label(self) -> &'static str {
-        match self {
-            X86MappingStyle::ScAtomics => "sc-atomics",
-            X86MappingStyle::Relaxed => "relaxed",
+/// [`BUILTIN_TABLES`], parsed once per process so every caller gets the
+/// same `&'static` mapping: sweeps group stacks by mapping identity.
+static BUILTINS: LazyLock<[TableMapping; 6]> = LazyLock::new(|| {
+    BUILTIN_TABLES.map(|(name, rows)| {
+        let mut table = TableMapping::new(name);
+        for row in rows.lines() {
+            table
+                .parse_line(row)
+                .unwrap_or_else(|e| panic!("built-in mapping {name}: '{row}': {e}"));
         }
-    }
-}
-
-impl fmt::Display for X86MappingStyle {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.label())
-    }
-}
-
-/// The x86-study mapping for one style.
-#[must_use]
-pub fn x86_mapping(style: X86MappingStyle) -> &'static dyn Mapping {
-    match style {
-        X86MappingStyle::ScAtomics => &X86ScAtomics,
-        X86MappingStyle::Relaxed => &X86Relaxed,
-    }
-}
+        table
+    })
+});
 
 /// The mapping the paper evaluates for a given RISC-V ISA and refinement
-/// stage.
+/// stage (Table 2 for Base, Table 3 for Base+A; "Intuitive" under
+/// `riscv-curr`, "Refined" under `riscv-ours`).
 #[must_use]
 pub fn riscv_mapping(isa: RiscvIsa, version: SpecVersion) -> &'static dyn Mapping {
-    match (isa, version) {
-        (RiscvIsa::Base, SpecVersion::Curr) => &BaseIntuitive,
-        (RiscvIsa::Base, SpecVersion::Ours) => &BaseRefined,
-        (RiscvIsa::BaseA, SpecVersion::Curr) => &BaseAIntuitive,
-        (RiscvIsa::BaseA, SpecVersion::Ours) => &BaseARefined,
-    }
+    let index = match (isa, version) {
+        (RiscvIsa::Base, SpecVersion::Curr) => 0,
+        (RiscvIsa::Base, SpecVersion::Ours) => 1,
+        (RiscvIsa::BaseA, SpecVersion::Curr) => 2,
+        (RiscvIsa::BaseA, SpecVersion::Ours) => 3,
+    };
+    &BUILTINS[index]
 }
 
 /// Where the §7 C11 → Power mappings place the heavyweight `sync` of an
 /// SC access — the axis the compiler study sweeps over.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub enum PowerSyncStyle {
-    /// McKenney–Silvera leading-sync ([`PowerLeadingSync`], Table 1).
+    /// McKenney–Silvera leading-sync (Table 1).
     Leading,
-    /// Batty et al. trailing-sync ([`PowerTrailingSync`]).
+    /// Batty et al. trailing-sync.
     Trailing,
 }
 
@@ -771,8 +282,8 @@ impl fmt::Display for PowerSyncStyle {
 #[must_use]
 pub fn power_mapping(style: PowerSyncStyle) -> &'static dyn Mapping {
     match style {
-        PowerSyncStyle::Leading => &PowerLeadingSync,
-        PowerSyncStyle::Trailing => &PowerTrailingSync,
+        PowerSyncStyle::Leading => &BUILTINS[4],
+        PowerSyncStyle::Trailing => &BUILTINS[5],
     }
 }
 
@@ -879,13 +390,18 @@ mod tests {
     use tricheck_isa::{format_program, Asm};
     use tricheck_litmus::suite;
 
+    use tricheck_isa::RiscvIsa::{Base, BaseA};
+    use tricheck_isa::SpecVersion::{Curr, Ours};
+
+    use crate::table::{reachable_orders, MapOp};
+
     fn listing(test: &LitmusTest, mapping: &dyn Mapping, dialect: Asm) -> String {
         format_program(compile(test, mapping).expect("compiles").program(), dialect)
     }
 
     #[test]
     fn figure8_wrc_base_intuitive() {
-        let out = listing(&suite::fig3_wrc(), &BaseIntuitive, Asm::RiscV);
+        let out = listing(&suite::fig3_wrc(), riscv_mapping(Base, Curr), Asm::RiscV);
         let expected = "\
 T0:
   sw 1, (x)
@@ -903,7 +419,7 @@ T2:
 
     #[test]
     fn figure9_iriw_base_intuitive_fence_count() {
-        let compiled = compile(&suite::fig4_iriw_sc(), &BaseIntuitive).unwrap();
+        let compiled = compile(&suite::fig4_iriw_sc(), riscv_mapping(Base, Curr)).unwrap();
         // st sc = fence;st (1 fence each on T0/T1); ld sc = fence;ld;fence
         // (2 fences per load, 2 loads per reader thread).
         let fences: usize = compiled
@@ -918,7 +434,7 @@ T2:
 
     #[test]
     fn figure10_wrc_base_a_intuitive() {
-        let out = listing(&suite::fig3_wrc(), &BaseAIntuitive, Asm::RiscV);
+        let out = listing(&suite::fig3_wrc(), riscv_mapping(BaseA, Curr), Asm::RiscV);
         let expected = "\
 T0:
   sw 1, (x)
@@ -934,7 +450,11 @@ T2:
 
     #[test]
     fn figure12_roach_motel_base_a_intuitive_uses_aq_rl() {
-        let out = listing(&suite::fig11_mp_roach_motel(), &BaseAIntuitive, Asm::RiscV);
+        let out = listing(
+            &suite::fig11_mp_roach_motel(),
+            riscv_mapping(BaseA, Curr),
+            Asm::RiscV,
+        );
         assert!(
             out.contains("amoswap.w.aq.rl"),
             "SC store must be AMO.aq.rl:\n{out}"
@@ -947,7 +467,11 @@ T2:
 
     #[test]
     fn refined_roach_motel_decouples_sc_bit() {
-        let out = listing(&suite::fig11_mp_roach_motel(), &BaseARefined, Asm::RiscV);
+        let out = listing(
+            &suite::fig11_mp_roach_motel(),
+            riscv_mapping(BaseA, Ours),
+            Asm::RiscV,
+        );
         assert!(
             out.contains("amoswap.w.rl.sc"),
             "SC store must be AMO.rl.sc:\n{out}"
@@ -960,7 +484,11 @@ T2:
 
     #[test]
     fn figure14_lazy_cumulativity_base_a_intuitive() {
-        let out = listing(&suite::fig13_mp_lazy(), &BaseAIntuitive, Asm::RiscV);
+        let out = listing(
+            &suite::fig13_mp_lazy(),
+            riscv_mapping(BaseA, Curr),
+            Asm::RiscV,
+        );
         let expected = "\
 T0:
   amoswap.w.rl r128, 1, (x)
@@ -974,15 +502,23 @@ T1:
 
     #[test]
     fn base_refined_uses_cumulative_fences() {
-        let out = listing(&suite::fig3_wrc(), &BaseRefined, Asm::RiscV);
+        let out = listing(&suite::fig3_wrc(), riscv_mapping(Base, Ours), Asm::RiscV);
         assert!(out.contains("lwf"), "release must use lwf:\n{out}");
-        let sc = listing(&suite::sb([MemOrder::Sc; 4]), &BaseRefined, Asm::RiscV);
+        let sc = listing(
+            &suite::sb([MemOrder::Sc; 4]),
+            riscv_mapping(Base, Ours),
+            Asm::RiscV,
+        );
         assert!(sc.contains("hwf"), "SC accesses must use hwf:\n{sc}");
     }
 
     #[test]
     fn table1_leading_sync_power() {
-        let out = listing(&suite::mp([MemOrder::Sc; 4]), &PowerLeadingSync, Asm::Power);
+        let out = listing(
+            &suite::mp([MemOrder::Sc; 4]),
+            power_mapping(PowerSyncStyle::Leading),
+            Asm::Power,
+        );
         let expected = "\
 T0:
   sync
@@ -1001,38 +537,11 @@ T1:
     }
 
     #[test]
-    fn trailing_sync_places_sync_after_sc_accesses() {
-        let compiled = compile(&suite::sb([MemOrder::Sc; 4]), &PowerTrailingSync).unwrap();
-        let t0 = &compiled.program().threads()[0];
-        // st sc = lwsync; st; sync — then ld sc = ld; sync.
-        assert!(matches!(
-            t0[0],
-            Instr::Fence {
-                ann: HwAnnot::Fence(FenceKind::CumulativeLight)
-            }
-        ));
-        assert!(matches!(t0[1], Instr::Write { .. }));
-        assert!(matches!(
-            t0[2],
-            Instr::Fence {
-                ann: HwAnnot::Fence(FenceKind::CumulativeHeavy)
-            }
-        ));
-        assert!(matches!(t0[3], Instr::Read { .. }));
-        assert!(matches!(
-            t0[4],
-            Instr::Fence {
-                ann: HwAnnot::Fence(FenceKind::CumulativeHeavy)
-            }
-        ));
-    }
-
-    #[test]
     fn compilation_preserves_observed_registers() {
         for mapping in [
-            &BaseIntuitive as &dyn Mapping,
-            &BaseAIntuitive,
-            &PowerLeadingSync,
+            riscv_mapping(Base, Curr),
+            riscv_mapping(BaseA, Curr),
+            power_mapping(PowerSyncStyle::Leading),
         ] {
             let test = suite::fig3_wrc();
             let compiled = compile(&test, mapping).unwrap();
@@ -1041,34 +550,24 @@ T1:
         }
     }
 
+    /// W004's rule on the built-in tables: `ld` and `st` define every
+    /// reachable order, `rmw` all of them or none, and no row is dead.
     #[test]
-    fn whole_suite_compiles_under_every_riscv_mapping() {
-        for (isa, version) in [
-            (RiscvIsa::Base, SpecVersion::Curr),
-            (RiscvIsa::Base, SpecVersion::Ours),
-            (RiscvIsa::BaseA, SpecVersion::Curr),
-            (RiscvIsa::BaseA, SpecVersion::Ours),
-        ] {
-            let mapping = riscv_mapping(isa, version);
-            for test in suite::full_suite() {
-                compile(&test, mapping).unwrap_or_else(|e| {
-                    panic!("{} fails under {}: {e}", test.name(), mapping.name())
-                });
+    fn builtin_tables_cover_exactly_the_reachable_orders() {
+        use MemOrder::{Acq, AcqRel, Rel, Rlx, Sc};
+        for ((name, _), table) in BUILTIN_TABLES.iter().zip(BUILTINS.iter()) {
+            for op in [MapOp::Load, MapOp::Store, MapOp::Rmw] {
+                let defined: Vec<MemOrder> = [Rlx, Acq, Rel, AcqRel, Sc]
+                    .into_iter()
+                    .filter(|&mo| table.defines(op, mo))
+                    .collect();
+                let reachable = reachable_orders(op);
+                let no_rmw = op == MapOp::Rmw && defined.is_empty();
+                assert!(
+                    no_rmw || defined == reachable,
+                    "{name}: {op:?} rows for {defined:?}, reachable {reachable:?}"
+                );
             }
         }
-    }
-
-    #[test]
-    fn rmw_unsupported_on_base() {
-        let err = BaseIntuitive
-            .rmw(Reg(0), Expr::Const(1), RmwKind::FetchAddZero, MemOrder::Sc)
-            .unwrap_err();
-        assert!(matches!(
-            err,
-            CompileError::Unsupported {
-                construct: "C11 RMW",
-                ..
-            }
-        ));
     }
 }

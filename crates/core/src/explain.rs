@@ -136,13 +136,18 @@ pub fn diagnose(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tricheck_compiler::{BaseIntuitive, BaseRefined};
-    use tricheck_isa::SpecVersion::{Curr, Ours};
+    use tricheck_compiler::riscv_mapping;
+    use tricheck_isa::RiscvIsa::Base;
+    use tricheck_isa::SpecVersion::{self, Curr, Ours};
     use tricheck_litmus::suite;
+
+    fn diagnose_wrc(version: SpecVersion, model: &UarchModel) -> Diagnosis {
+        diagnose(riscv_mapping(Base, version), model, &suite::fig3_wrc()).unwrap()
+    }
 
     #[test]
     fn bug_diagnosis_carries_a_witness() {
-        let d = diagnose(&BaseIntuitive, &UarchModel::nwr(Curr), &suite::fig3_wrc()).unwrap();
+        let d = diagnose_wrc(Curr, &UarchModel::nwr(Curr));
         assert_eq!(d.classification, Classification::Bug);
         let witness = d.witness.expect("observable outcome must have a witness");
         assert!(witness.iter().any(|l| l.contains("reads from")));
@@ -153,7 +158,7 @@ mod tests {
 
     #[test]
     fn forbidden_diagnosis_names_the_blocking_axioms() {
-        let d = diagnose(&BaseRefined, &UarchModel::nwr(Ours), &suite::fig3_wrc()).unwrap();
+        let d = diagnose_wrc(Ours, &UarchModel::nwr(Ours));
         assert_eq!(d.classification, Classification::Equivalent);
         assert!(d.witness.is_none());
         assert!(!d.rejections.is_empty());
@@ -170,7 +175,7 @@ mod tests {
 
     #[test]
     fn display_is_informative() {
-        let d = diagnose(&BaseIntuitive, &UarchModel::nmm(Curr), &suite::fig3_wrc()).unwrap();
+        let d = diagnose_wrc(Curr, &UarchModel::nmm(Curr));
         let text = d.to_string();
         assert!(text.contains("Bug"));
         assert!(text.contains("witness execution"));

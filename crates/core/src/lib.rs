@@ -40,18 +40,19 @@
 //!
 //! ```
 //! use tricheck_core::{Classification, TriCheck};
-//! use tricheck_isa::SpecVersion;
+//! use tricheck_isa::{RiscvIsa, SpecVersion};
 //! use tricheck_litmus::suite;
 //! use tricheck_uarch::UarchModel;
-//! use tricheck_compiler::BaseIntuitive;
+//! use tricheck_compiler::riscv_mapping;
 //!
-//! let stack = TriCheck::new(&BaseIntuitive, UarchModel::nwr(SpecVersion::Curr));
+//! let intuitive = riscv_mapping(RiscvIsa::Base, SpecVersion::Curr);
+//! let stack = TriCheck::new(intuitive, UarchModel::nwr(SpecVersion::Curr));
 //! let result = stack.verify(&suite::fig3_wrc())?;
 //! assert_eq!(result.classification(), Classification::Bug);
 //!
 //! // The refined ISA (cumulative fences + fixed mapping) eliminates it.
-//! use tricheck_compiler::BaseRefined;
-//! let fixed = TriCheck::new(&BaseRefined, UarchModel::nwr(SpecVersion::Ours));
+//! let refined = riscv_mapping(RiscvIsa::Base, SpecVersion::Ours);
+//! let fixed = TriCheck::new(refined, UarchModel::nwr(SpecVersion::Ours));
 //! assert_eq!(fixed.verify(&suite::fig3_wrc())?.classification(),
 //!            Classification::Equivalent);
 //! # Ok::<(), tricheck_compiler::CompileError>(())
@@ -166,19 +167,20 @@ impl<'m> TriCheck<'m> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tricheck_compiler::{BaseAIntuitive, BaseARefined, BaseIntuitive, BaseRefined};
+    use tricheck_compiler::riscv_mapping;
+    use tricheck_isa::RiscvIsa::{Base, BaseA};
     use tricheck_isa::SpecVersion::{Curr, Ours};
     use tricheck_litmus::{suite, MemOrder};
 
     #[test]
     fn wrc_bug_found_and_fixed() {
         let t = suite::fig3_wrc();
-        let buggy = TriCheck::new(&BaseIntuitive, UarchModel::nmm(Curr));
+        let buggy = TriCheck::new(riscv_mapping(Base, Curr), UarchModel::nmm(Curr));
         assert_eq!(
             buggy.verify(&t).unwrap().classification(),
             Classification::Bug
         );
-        let fixed = TriCheck::new(&BaseRefined, UarchModel::nmm(Ours));
+        let fixed = TriCheck::new(riscv_mapping(Base, Ours), UarchModel::nmm(Ours));
         assert_eq!(
             fixed.verify(&t).unwrap().classification(),
             Classification::Equivalent
@@ -188,12 +190,12 @@ mod tests {
     #[test]
     fn overly_strict_detected_for_roach_motel() {
         let t = suite::fig11_mp_roach_motel();
-        let strict = TriCheck::new(&BaseAIntuitive, UarchModel::rmm(Curr));
+        let strict = TriCheck::new(riscv_mapping(BaseA, Curr), UarchModel::rmm(Curr));
         assert_eq!(
             strict.verify(&t).unwrap().classification(),
             Classification::OverlyStrict
         );
-        let relaxed = TriCheck::new(&BaseARefined, UarchModel::rmm(Ours));
+        let relaxed = TriCheck::new(riscv_mapping(BaseA, Ours), UarchModel::rmm(Ours));
         assert_eq!(
             relaxed.verify(&t).unwrap().classification(),
             Classification::Equivalent
@@ -209,7 +211,7 @@ mod tests {
             [MemOrder::Rlx, MemOrder::Rel, MemOrder::Acq, MemOrder::Rlx],
         ] {
             let t = suite::mp(orders);
-            let stack = TriCheck::new(&BaseIntuitive, UarchModel::nmm(Curr));
+            let stack = TriCheck::new(riscv_mapping(Base, Curr), UarchModel::nmm(Curr));
             let target_mode = stack.verify(&t).unwrap().classification();
             let full_mode = stack.verify_full(&t).unwrap().classification();
             assert_eq!(target_mode, full_mode, "{}", t.name());
@@ -219,7 +221,7 @@ mod tests {
     #[test]
     fn full_comparison_exposes_outcome_sets() {
         let t = suite::mp([MemOrder::Rlx; 4]);
-        let stack = TriCheck::new(&BaseIntuitive, UarchModel::wr(Curr));
+        let stack = TriCheck::new(riscv_mapping(Base, Curr), UarchModel::wr(Curr));
         let cmp = stack.verify_full(&t).unwrap();
         // WR is stronger than C11 for relaxed MP: fewer observable
         // outcomes than permitted ones.
@@ -240,7 +242,7 @@ mod tests {
                 suite::fig13_mp_lazy(),
                 suite::corr([MemOrder::Rlx; 4]),
             ] {
-                let stack = TriCheck::new(&BaseARefined, model.clone());
+                let stack = TriCheck::new(riscv_mapping(BaseA, Ours), model.clone());
                 let c = stack.verify(&t).unwrap().classification();
                 assert_ne!(c, Classification::Bug, "{} on {}", t.name(), model.name());
             }

@@ -5,7 +5,7 @@
 //! matrix column that never appears in Rust source:
 //!
 //! ```text
-//! # The x86-TSO study, as data.
+//! # An excerpt of models/x86-tso.stack, the built-in x86 study.
 //! stack x86-tso
 //! isa x86
 //! title x86 mapping study: C11 → x86 mappings on TSO
@@ -280,6 +280,18 @@ struct MappingSection {
 ///
 /// A [`StackFileError`] naming the origin and line.
 pub fn parse_stack_file(src: &str, origin: &str) -> Result<LoadedStack, StackFileError> {
+    parse_stack(src, origin, true)
+}
+
+/// Parses a stack file the crate ships, without linting it: the
+/// built-in x86 study is loaded lazily, possibly inside a caller's
+/// metrics session, whose lint counters must only count the caller's
+/// files. `tests/lint.rs` keeps the committed files lint-clean.
+pub(crate) fn parse_builtin_stack(src: &str, origin: &str) -> Result<LoadedStack, StackFileError> {
+    parse_stack(src, origin, false)
+}
+
+fn parse_stack(src: &str, origin: &str, lint: bool) -> Result<LoadedStack, StackFileError> {
     let err = |line: usize, msg: String| StackFileError::new(origin, line, msg);
 
     let mut name: Option<String> = None;
@@ -417,7 +429,11 @@ pub fn parse_stack_file(src: &str, origin: &str) -> Result<LoadedStack, StackFil
 
     // Model-level lint, re-anchored from model-text lines to file
     // lines (model-text line 1 is file line `model_start + 1`).
-    let mut lints = lint_model(&ir, &hw_lint_schema(), Some(&spans));
+    let mut lints = if lint {
+        lint_model(&ir, &hw_lint_schema(), Some(&spans))
+    } else {
+        Vec::new()
+    };
     for d in &mut lints {
         d.line += model_start;
     }
@@ -440,13 +456,15 @@ pub fn parse_stack_file(src: &str, origin: &str) -> Result<LoadedStack, StackFil
                 format!("mapping '{}' has no table entries", section.label),
             ));
         }
-        lint_mapping_table(
-            &section.label,
-            section.label_line,
-            &table,
-            &rows,
-            &mut lints,
-        );
+        if lint {
+            lint_mapping_table(
+                &section.label,
+                section.label_line,
+                &table,
+                &rows,
+                &mut lints,
+            );
+        }
         stacks.push(MatrixStack {
             key: StackKey::Custom {
                 isa: intern(&isa),
@@ -458,11 +476,13 @@ pub fn parse_stack_file(src: &str, origin: &str) -> Result<LoadedStack, StackFil
     }
 
     lints.sort_by(|a, b| (a.line, a.col, a.code, &a.msg).cmp(&(b.line, b.col, b.code, &b.msg)));
-    tricheck_trace::count(tricheck_trace::Counter::LintRulesChecked, 1);
-    tricheck_trace::count(
-        tricheck_trace::Counter::LintDiagnostics,
-        (lints.len() - model_lint_count) as u64,
-    );
+    if lint {
+        tricheck_trace::count(tricheck_trace::Counter::LintRulesChecked, 1);
+        tricheck_trace::count(
+            tricheck_trace::Counter::LintDiagnostics,
+            (lints.len() - model_lint_count) as u64,
+        );
+    }
 
     Ok(LoadedStack {
         title: title.unwrap_or_else(|| format!("stack study: {name}")),
@@ -471,7 +491,7 @@ pub fn parse_stack_file(src: &str, origin: &str) -> Result<LoadedStack, StackFil
         origin: origin.to_string(),
         stacks,
         lints,
-        rules_checked: RULES.len(),
+        rules_checked: if lint { RULES.len() } else { 0 },
     })
 }
 

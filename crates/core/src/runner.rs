@@ -87,18 +87,18 @@
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, LazyLock, Mutex, OnceLock};
 
 use tricheck_c11::C11Model;
 use tricheck_compiler::{
-    compile, power_mapping, riscv_mapping, x86_mapping, CompileError, CompiledTest, Mapping,
-    PowerSyncStyle, X86MappingStyle,
+    compile, power_mapping, riscv_mapping, CompileError, CompiledTest, Mapping, PowerSyncStyle,
 };
 use tricheck_isa::{HwAnnot, RiscvIsa, SpecVersion};
 use tricheck_litmus::{outcome_set, Execution, ExecutionSpace, LitmusTest, Outcome};
 use tricheck_rel::CompiledModel;
 use tricheck_uarch::{FusedJudge, JudgeWork, UarchModel};
 
+use crate::registry::{parse_builtin_stack, LoadedStack};
 use crate::store::{C11Cached, SpaceStore};
 use crate::verdict::{Classification, TestResult};
 
@@ -239,14 +239,10 @@ pub enum StackKey {
         /// The C11 → Power sync placement style.
         style: PowerSyncStyle,
     },
-    /// An x86 stack of the TSO mapping study (the IR-defined model's
-    /// proving ground).
-    X86 {
-        /// The C11 → x86 mapping style.
-        style: X86MappingStyle,
-    },
-    /// A runtime-loaded stack (from a `--stack` definition file). The
-    /// labels are interned so the key stays `Copy` like the built-ins.
+    /// A stack loaded from a definition file: a `--stack` file, or the
+    /// built-in x86 study's `models/x86-tso.stack` (ISA `x86`, variants
+    /// `sc-atomics` and `relaxed`). The labels are interned so the key
+    /// stays `Copy` like the built-ins.
     Custom {
         /// The ISA column label from the file's `isa` line.
         isa: &'static str,
@@ -269,7 +265,6 @@ impl StackKey {
                 ..
             } => "Base+A",
             StackKey::Power { .. } => "Power",
-            StackKey::X86 { .. } => "x86",
             StackKey::Custom { isa, .. } => isa,
         }
     }
@@ -288,7 +283,6 @@ impl StackKey {
                 ..
             } => "riscv-ours",
             StackKey::Power { style } => style.label(),
-            StackKey::X86 { style } => style.label(),
             StackKey::Custom { variant, .. } => variant,
         }
     }
@@ -1154,10 +1148,10 @@ impl Sweep {
     }
 
     /// The x86 mapping study as a cached sweep: {sc-atomics, relaxed}
-    /// C11 → x86 mappings × the IR-defined TSO model, via
-    /// [`Sweep::run_matrix`]. The third thin instantiation of the
-    /// generic engine — and the proving ground for data-defined models:
-    /// the whole stack behind it is declarative (`x86_tso_ir`).
+    /// C11 → x86 mappings × the TSO model, via [`Sweep::run_matrix`].
+    /// The third thin instantiation of the generic engine — and the one
+    /// built entirely from data: its stacks are [`x86_stacks`], loaded
+    /// from `models/x86-tso.stack`.
     #[must_use]
     pub fn run_x86(&self, tests: &[LitmusTest]) -> SweepResults {
         self.run_matrix(tests, &x86_stacks())
@@ -1373,22 +1367,30 @@ pub fn power_stacks() -> Vec<MatrixStack<'static>> {
     stacks
 }
 
-/// The x86-study stacks: both mapping styles × the TSO model, in
-/// presentation order. Public for the same reason as [`riscv_stacks`].
+/// The x86-study stacks: both mappings of the committed
+/// `models/x86-tso.stack` × its TSO model, in file order. The file is
+/// the built-in study: it is embedded at build time and parsed once per
+/// process, so every call returns the same mapping references (sweeps
+/// group stacks by mapping identity) and a fresh, uncompiled model.
+/// Public for the same reason as [`riscv_stacks`].
 #[must_use]
 pub fn x86_stacks() -> Vec<MatrixStack<'static>> {
-    let mut stacks = Vec::new();
-    for style in X86MappingStyle::ALL {
-        let mapping = x86_mapping(style);
-        for model in UarchModel::all_x86() {
-            stacks.push(MatrixStack {
-                key: StackKey::X86 { style },
-                mapping,
-                model,
-            });
-        }
-    }
-    stacks
+    static X86_TSO: LazyLock<LoadedStack> = LazyLock::new(|| {
+        parse_builtin_stack(
+            include_str!("../../../models/x86-tso.stack"),
+            "models/x86-tso.stack",
+        )
+        .unwrap_or_else(|e| panic!("the committed x86 stack file must parse: {e}"))
+    });
+    X86_TSO
+        .stacks
+        .iter()
+        .map(|stack| MatrixStack {
+            key: stack.key,
+            mapping: stack.mapping,
+            model: stack.model.clone(),
+        })
+        .collect()
 }
 
 /// One worker's slice of the item range, drained from the front by its
@@ -1722,14 +1724,15 @@ mod tests {
 
     #[test]
     fn x86_sweep_exposes_sb_only_under_the_relaxed_mapping() {
-        use tricheck_compiler::X86MappingStyle;
         let tests: Vec<_> = suite::sb_template().instantiate_all().collect();
         let results = Sweep::new().run_x86(&tests);
-        let sc = StackKey::X86 {
-            style: X86MappingStyle::ScAtomics,
+        let sc = StackKey::Custom {
+            isa: "x86",
+            variant: "sc-atomics",
         };
-        let relaxed = StackKey::X86 {
-            style: X86MappingStyle::Relaxed,
+        let relaxed = StackKey::Custom {
+            isa: "x86",
+            variant: "relaxed",
         };
         assert_eq!(results.bugs_for(sc, "x86-TSO"), 0);
         assert_eq!(
@@ -1745,13 +1748,23 @@ mod tests {
         let stacks = x86_stacks();
         assert_eq!(stacks.len(), 2);
         for stack in &stacks {
-            assert!(matches!(stack.key, StackKey::X86 { .. }));
+            assert!(matches!(stack.key, StackKey::Custom { isa: "x86", .. }));
             assert_eq!(stack.key.isa_label(), "x86");
             // The TSO model is IR-only: no relaxation config behind it.
             assert!(stack.model.config().is_none());
             assert_eq!(stack.model.ir().name(), "x86-TSO");
         }
         assert!(stacks.len() / 2 < SHARING_BREAK_EVEN, "x86 matrix streams");
+    }
+
+    #[test]
+    fn x86_stacks_share_their_mappings_across_calls() {
+        // The engine and the benchmark replay group stacks by mapping
+        // identity: a second call must hand out the same tables.
+        let (first, second) = (x86_stacks(), x86_stacks());
+        for (a, b) in first.iter().zip(&second) {
+            assert!(std::ptr::addr_eq(a.mapping, b.mapping));
+        }
     }
 
     #[test]

@@ -83,8 +83,8 @@
 //!
 //! The production models live next to their bindings:
 //! `tricheck_c11::C11Model::ir()` and `tricheck_uarch`'s
-//! `build_uarch_ir` (one IR per microarchitecture configuration, plus
-//! the hand-written x86-TSO model) — see the crate docs of
+//! `build_uarch_ir` (one IR per microarchitecture configuration), and
+//! the x86-TSO model of `models/x86-tso.cat` — see the crate docs of
 //! [`crate`](self) for the worked ARMv7 A9-like definition.
 
 use std::fmt;

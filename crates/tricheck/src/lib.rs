@@ -26,9 +26,10 @@
 //! // Build a C11 litmus test (write-to-read causality, Figure 3).
 //! let test = suite::fig3_wrc();
 //!
-//! // Assemble a full stack: Intuitive Base mapping on the shared-store-
-//! // buffer microarchitecture, under the 2016 RISC-V spec.
-//! let stack = TriCheck::new(&BaseIntuitive, UarchModel::nwr(SpecVersion::Curr));
+//! // Assemble a full stack: Intuitive Base mapping (Table 2) on the
+//! // shared-store-buffer microarchitecture, under the 2016 RISC-V spec.
+//! let intuitive = riscv_mapping(RiscvIsa::Base, SpecVersion::Curr);
+//! let stack = TriCheck::new(intuitive, UarchModel::nwr(SpecVersion::Curr));
 //!
 //! // C11 forbids the outcome, the hardware exhibits it: a bug.
 //! assert_eq!(stack.verify(&test)?.classification(), Classification::Bug);
@@ -90,11 +91,7 @@ pub use tricheck_uarch as uarch;
 /// The most common imports for driving the toolflow.
 pub mod prelude {
     pub use tricheck_c11::{C11Model, C11Verdict};
-    pub use tricheck_compiler::{
-        compile, power_mapping, riscv_mapping, x86_mapping, BaseAIntuitive, BaseARefined,
-        BaseIntuitive, BaseRefined, Mapping, PowerLeadingSync, PowerSyncStyle, PowerTrailingSync,
-        X86MappingStyle, X86Relaxed, X86ScAtomics,
-    };
+    pub use tricheck_compiler::{compile, power_mapping, riscv_mapping, Mapping, PowerSyncStyle};
     pub use tricheck_core::{
         report, Classification, MatrixStack, OutcomeMode, SpaceSharing, SpaceStore, StackKey,
         Sweep, SweepOptions, SweepResults, TestResult, TriCheck,
@@ -110,7 +107,8 @@ mod tests {
     #[test]
     fn prelude_compiles_a_full_stack() {
         use crate::prelude::*;
-        let stack = TriCheck::new(&BaseRefined, UarchModel::nmm(SpecVersion::Ours));
+        let refined = riscv_mapping(RiscvIsa::Base, SpecVersion::Ours);
+        let stack = TriCheck::new(refined, UarchModel::nmm(SpecVersion::Ours));
         let r = stack.verify(&suite::fig3_wrc()).expect("compiles");
         assert_eq!(r.classification(), Classification::Equivalent);
     }

@@ -60,22 +60,25 @@
 //! configurations are compiled to IR by [`build_uarch_ir`] (the
 //! imperative checker survives as `UarchModel::check`, the differential
 //! oracle), and new machines can be written directly in the IR with no
-//! config at all — [`x86_tso_ir`] is the worked example, wired into the
-//! sweep as `UarchModel::x86_tso()`. The [`HwBinding`] supplies the
+//! config at all and loaded with [`UarchModel::from_ir`] —
+//! `models/x86-tso.cat` in the repository root is the worked example,
+//! and the same model text drives the built-in x86 study through
+//! `models/x86-tso.stack`. The [`HwBinding`] supplies the
 //! model-free base relations (program order, communication, fence edge
 //! sets, AMO ordering-bit sets) every model draws from.
 //!
 //! # Examples
 //!
 //! ```
-//! use tricheck_compiler::{compile, BaseIntuitive};
-//! use tricheck_isa::SpecVersion;
+//! use tricheck_compiler::{compile, riscv_mapping};
+//! use tricheck_isa::{RiscvIsa, SpecVersion};
 //! use tricheck_litmus::suite;
 //! use tricheck_uarch::UarchModel;
 //!
 //! // The Figure 3 WRC outcome is observable on the shared-store-buffer
 //! // model under the 2016 ISA (no cumulative fences exist to prevent it).
-//! let compiled = compile(&suite::fig3_wrc(), &BaseIntuitive)?;
+//! let intuitive = riscv_mapping(RiscvIsa::Base, SpecVersion::Curr);
+//! let compiled = compile(&suite::fig3_wrc(), intuitive)?;
 //! let nwr = UarchModel::nwr(SpecVersion::Curr);
 //! assert!(nwr.observes(compiled.program(), compiled.target()));
 //! # Ok::<(), tricheck_compiler::CompileError>(())
@@ -90,7 +93,7 @@ pub mod model;
 
 pub use config::{ReleasePredecessors, StoreAtomicity, UarchConfig};
 pub use ir::{
-    build_uarch_ir, hw_lint_schema, hw_vocabulary, x86_tso_ir, HwBinding, HW_REL_BASES,
-    HW_SET_BASES, SORT_F, SORT_R, SORT_W,
+    build_uarch_ir, hw_lint_schema, hw_vocabulary, HwBinding, HW_REL_BASES, HW_SET_BASES, SORT_F,
+    SORT_R, SORT_W,
 };
 pub use model::{FusedJudge, JudgeWork, UarchModel, UarchViolation};

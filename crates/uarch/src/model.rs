@@ -41,7 +41,7 @@ use tricheck_litmus::{
 use tricheck_rel::{BindingPool, CompiledModel, EvalScratch, EventSet, ModelIr, Relation};
 
 use crate::config::{ReleasePredecessors, StoreAtomicity, UarchConfig};
-use crate::ir::{build_uarch_ir, fence_edges, x86_tso_ir, HwBinding};
+use crate::ir::{build_uarch_ir, fence_edges, HwBinding};
 
 /// Why an execution is rejected by a microarchitecture model.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
@@ -103,9 +103,9 @@ impl std::error::Error for UarchViolation {}
 /// from the knobs by [`build_uarch_ir`] on first use, and the original
 /// imperative checker survives as [`UarchModel::check`] — the
 /// differential oracle the property tests pin the compilation against.
-/// Data-defined models ([`UarchModel::from_ir`], e.g.
-/// [`UarchModel::x86_tso`]) *are* their IR: no config, no imperative
-/// twin.
+/// Data-defined models ([`UarchModel::from_ir`], e.g. the x86-TSO
+/// model of `models/x86-tso.cat`) *are* their IR: no config, no
+/// imperative twin.
 #[derive(Clone, Debug)]
 pub struct UarchModel {
     name: String,
@@ -170,14 +170,6 @@ impl UarchModel {
             kind: ModelKind::Ir(ir),
             compiled: OnceLock::new(),
         }
-    }
-
-    /// The x86-TSO machine, defined purely in the IR
-    /// ([`x86_tso_ir`]): store-buffer forwarding relaxes W→R, `mfence`
-    /// restores it, stores are multi-copy atomic.
-    #[must_use]
-    pub fn x86_tso() -> Self {
-        Self::from_ir(x86_tso_ir())
     }
 
     /// Table 7 `WR` under the given spec version.
@@ -252,13 +244,6 @@ impl UarchModel {
             .into_iter()
             .map(Self::from_config)
             .collect()
-    }
-
-    /// The models of the x86 compiler-mapping study: just TSO (one
-    /// microarchitecture faithfully implements the ISA's memory model).
-    #[must_use]
-    pub fn all_x86() -> Vec<Self> {
-        vec![Self::x86_tso()]
     }
 
     /// The model's relaxation configuration, or `None` for a
@@ -880,7 +865,7 @@ fn release_sync(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tricheck_compiler::{compile, riscv_mapping, BaseAIntuitive, Mapping, PowerLeadingSync};
+    use tricheck_compiler::{compile, power_mapping, riscv_mapping, Mapping, PowerSyncStyle};
     use tricheck_isa::RiscvIsa::{Base, BaseA};
     use tricheck_isa::SpecVersion::{Curr, Ours};
     use tricheck_litmus::{suite, LitmusTest, MemOrder};
@@ -1342,12 +1327,12 @@ mod tests {
         let t = suite::corr([MemOrder::Rlx; 4]);
         assert!(observes(
             &t,
-            &PowerLeadingSync,
+            power_mapping(PowerSyncStyle::Leading),
             &UarchModel::armv7_a9_ldld_hazard()
         ));
         assert!(!observes(
             &t,
-            &PowerLeadingSync,
+            power_mapping(PowerSyncStyle::Leading),
             &UarchModel::armv7_a9like()
         ));
     }
@@ -1357,7 +1342,7 @@ mod tests {
         let t = suite::fig4_iriw_sc();
         assert!(!observes(
             &t,
-            &PowerLeadingSync,
+            power_mapping(PowerSyncStyle::Leading),
             &UarchModel::armv7_a9like()
         ));
     }
@@ -1366,7 +1351,7 @@ mod tests {
     fn base_a_intuitive_and_model_versions_are_exercised() {
         // Guard: the Base+A intuitive mapping really produces AMOs (the
         // model distinctions above depend on it).
-        let compiled = compile(&suite::fig3_wrc(), &BaseAIntuitive).unwrap();
+        let compiled = compile(&suite::fig3_wrc(), riscv_mapping(BaseA, Curr)).unwrap();
         let has_amo = compiled
             .program()
             .threads()

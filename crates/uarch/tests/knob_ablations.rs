@@ -3,7 +3,7 @@
 //! C11 violations. This demonstrates that every refinement the paper
 //! proposes is load-bearing — none is subsumed by the others.
 
-use tricheck_compiler::{compile, riscv_mapping, BaseIntuitive};
+use tricheck_compiler::{compile, riscv_mapping};
 use tricheck_isa::{RiscvIsa, SpecVersion};
 use tricheck_litmus::{suite, LitmusTest, MemOrder};
 use tricheck_uarch::{ReleasePredecessors, UarchConfig, UarchModel};
@@ -59,7 +59,8 @@ fn refined_hardware_cannot_rescue_the_unrefined_mapping() {
     // emits them. The riscv-ours microarchitecture still exhibits the WRC
     // bug when fed code from the Intuitive (non-cumulative-fence) mapping.
     let test = suite::fig3_wrc();
-    let compiled = compile(&test, &BaseIntuitive).unwrap();
+    let intuitive = riscv_mapping(RiscvIsa::Base, SpecVersion::Curr);
+    let compiled = compile(&test, intuitive).unwrap();
     let model = UarchModel::nmm(SpecVersion::Ours);
     assert!(model.observes(compiled.program(), compiled.target()));
 }

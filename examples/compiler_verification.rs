@@ -24,7 +24,7 @@ impl Mapping for DroppedReleaseFence {
         addr: Expr,
         mo: MemOrder,
     ) -> Result<Vec<Instr<HwAnnot>>, CompileError> {
-        PowerLeadingSync.load(dst, addr, mo)
+        power_mapping(PowerSyncStyle::Leading).load(dst, addr, mo)
     }
 
     fn store(
@@ -41,7 +41,7 @@ impl Mapping for DroppedReleaseFence {
                 val,
                 ann: HwAnnot::Plain,
             }]),
-            _ => PowerLeadingSync.store(addr, val, mo, scratch),
+            _ => power_mapping(PowerSyncStyle::Leading).store(addr, val, mo, scratch),
         }
     }
 }
@@ -73,8 +73,9 @@ fn main() {
         tests.len()
     );
 
-    audit(&PowerLeadingSync, &tests, &machine);
-    audit(&PowerTrailingSync, &tests, &machine);
+    for style in PowerSyncStyle::ALL {
+        audit(power_mapping(style), &tests, &machine);
+    }
     audit(&DroppedReleaseFence, &tests, &machine);
 
     println!(

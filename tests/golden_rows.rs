@@ -1,14 +1,20 @@
-//! Golden-row regression tests: the full Figure 15 sweep table and the
-//! §7 compiler-study counts are committed as fixtures, so any engine
-//! refactor that changes a single classification fails tier-1 loudly
-//! (rather than silently shifting paper numbers).
+//! Golden-row regression tests: the full Figure 15 sweep table, the §7
+//! compiler-study counts, the x86 study and every built-in mapping's
+//! instruction table are committed as fixtures, so any refactor that
+//! changes a single classification or emitted instruction fails tier-1
+//! loudly (rather than silently shifting paper numbers).
 //!
 //! To regenerate after an *intentional* model change, run
 //! `TRICHECK_UPDATE_FIXTURES=1 cargo test --test golden_rows` and commit
 //! the diff.
 
+use std::fmt::Write as _;
 use std::path::PathBuf;
 
+use tricheck::compiler::{order_word, CompileError};
+use tricheck::core::x86_stacks;
+use tricheck::litmus::codec::fnv1a;
+use tricheck::litmus::{Expr, Instr, Reg, RmwKind};
 use tricheck::prelude::*;
 
 fn fixture_path(name: &str) -> PathBuf {
@@ -47,7 +53,7 @@ fn assert_matches_fixture(name: &str, actual: &str) {
                 },
             );
         panic!(
-            "sweep classification drift against {name} — {first_diff}\n\
+            "drift against {name} — {first_diff}\n\
              If the change is intentional, regenerate fixtures with \
              TRICHECK_UPDATE_FIXTURES=1 and commit the diff."
         );
@@ -90,12 +96,13 @@ fn x86_tso_rows_match_committed_fixture() {
     // The headline claims, asserted directly so a fixture regeneration
     // cannot silently launder them away.
     use tricheck::core::StackKey;
-    use tricheck::prelude::X86MappingStyle;
-    let sc = StackKey::X86 {
-        style: X86MappingStyle::ScAtomics,
+    let sc = StackKey::Custom {
+        isa: "x86",
+        variant: "sc-atomics",
     };
-    let relaxed = StackKey::X86 {
-        style: X86MappingStyle::Relaxed,
+    let relaxed = StackKey::Custom {
+        isa: "x86",
+        variant: "relaxed",
     };
     assert_eq!(
         results.bugs_for(sc, "x86-TSO"),
@@ -109,4 +116,74 @@ fn x86_tso_rows_match_committed_fixture() {
         "TSO permits SC store buffering under the unfenced mapping"
     );
     assert!(results.bugs_for(relaxed, "x86-TSO") > 0);
+}
+
+/// One mapping's fixture block: what each (operation, order) entry
+/// emits or which construct it rejects, then how many suite tests it
+/// compiles and an FNV-1a digest of their names and programs.
+fn describe_mapping(mapping: &dyn Mapping, tests: &[LitmusTest]) -> String {
+    use MemOrder::{Acq, AcqRel, Rel, Rlx, Sc};
+    fn entry(result: Result<Vec<Instr<HwAnnot>>, CompileError>) -> String {
+        match result {
+            Ok(instrs) => format!("{instrs:?}"),
+            Err(CompileError::Unsupported { construct, .. }) => format!("unsupported: {construct}"),
+            Err(e) => format!("error: {e}"),
+        }
+    }
+    let mut out = format!("mapping {}\n", mapping.name());
+    for mo in [Rlx, Acq, Rel, AcqRel, Sc] {
+        let word = order_word(mo);
+        let ld = mapping.load(Reg(0), Expr::Const(0), mo);
+        let _ = writeln!(out, "  ld {word} = {}", entry(ld));
+        let st = mapping.store(Expr::Const(0), Expr::Const(1), mo, Reg(128));
+        let _ = writeln!(out, "  st {word} = {}", entry(st));
+        for (kind_word, kind) in [
+            ("fetch-add-zero", RmwKind::FetchAddZero),
+            ("swap", RmwKind::Swap(Expr::Const(1))),
+        ] {
+            let rmw = mapping.rmw(Reg(0), Expr::Const(0), kind, mo);
+            let _ = writeln!(out, "  rmw[{kind_word}] {word} = {}", entry(rmw));
+        }
+    }
+    let (mut compiled, mut text) = (0, String::new());
+    for test in tests {
+        match compile(test, mapping) {
+            Ok(c) => {
+                compiled += 1;
+                let _ = writeln!(text, "{} {:?}", c.name(), c.program());
+            }
+            Err(e) => {
+                let _ = writeln!(text, "{} error: {e}", test.name());
+            }
+        }
+    }
+    let digest = fnv1a(text.as_bytes());
+    let _ = writeln!(
+        out,
+        "  suite: {compiled}/{} compiled, digest {digest:016x}",
+        tests.len()
+    );
+    out
+}
+
+/// The eight built-in mappings — the four Figure 15 RISC-V tables, the
+/// two §7 Power tables, the two x86 tables of `models/x86-tso.stack` —
+/// entry by entry and over the whole suite. The fixture was generated
+/// from the hand-written Rust mappings the tables replaced.
+#[test]
+fn builtin_mappings_match_committed_fixture() {
+    let mut mappings = Vec::new();
+    for isa in [RiscvIsa::Base, RiscvIsa::BaseA] {
+        for version in [SpecVersion::Curr, SpecVersion::Ours] {
+            mappings.push(riscv_mapping(isa, version));
+        }
+    }
+    mappings.extend(PowerSyncStyle::ALL.map(power_mapping));
+    mappings.extend(x86_stacks().into_iter().map(|stack| stack.mapping));
+    let tests = suite::full_suite();
+    let actual: String = mappings
+        .into_iter()
+        .map(|m| describe_mapping(m, &tests))
+        .collect();
+    assert_matches_fixture("builtin_mappings.txt", &actual);
 }

@@ -226,7 +226,8 @@ fn seeded_mutations_of_the_committed_stack_are_caught() {
 /// the Base+A refined mapping so AMO annotation sets are exercised too.
 #[test]
 fn hw_lint_schema_claims_hold_on_real_executions() {
-    use tricheck::compiler::{compile, BaseARefined};
+    use tricheck::compiler::{compile, riscv_mapping};
+    use tricheck::isa::{RiscvIsa, SpecVersion};
     use tricheck::litmus::{suite, ExecutionSpace};
 
     let kind_bit = |binding: &HwBinding<'_>, e: usize| {
@@ -247,7 +248,7 @@ fn hw_lint_schema_claims_hold_on_real_executions() {
     ];
     let mut candidates = 0usize;
     for test in &tests {
-        let compiled = compile(test, &BaseARefined).unwrap();
+        let compiled = compile(test, riscv_mapping(RiscvIsa::BaseA, SpecVersion::Ours)).unwrap();
         let space = ExecutionSpace::new(compiled.program().clone());
         let view = space.executions();
         for k in 0..view.len() {

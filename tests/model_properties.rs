@@ -164,8 +164,8 @@ proptest! {
             }
         }
         groups.push((power_mapping(PowerSyncStyle::Leading), UarchModel::all_armv7()));
-        for style in [X86MappingStyle::ScAtomics, X86MappingStyle::Relaxed] {
-            groups.push((x86_mapping(style), UarchModel::all_x86()));
+        for stack in tricheck::core::x86_stacks() {
+            groups.push((stack.mapping, vec![stack.model]));
         }
         for (mapping, models) in &groups {
             let compiled = compile(&test, *mapping).unwrap();

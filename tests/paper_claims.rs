@@ -216,7 +216,7 @@ fn section_7_trailing_sync_counterexamples_found() {
     let sweep = Sweep::new();
     let model = UarchModel::armv7_a9like();
 
-    let leading = sweep.run_stack(&tests, &PowerLeadingSync, &model);
+    let leading = sweep.run_stack(&tests, power_mapping(PowerSyncStyle::Leading), &model);
     assert_eq!(
         leading
             .iter()
@@ -226,7 +226,7 @@ fn section_7_trailing_sync_counterexamples_found() {
         "leading-sync must survive the suite"
     );
 
-    let trailing = sweep.run_stack(&tests, &PowerTrailingSync, &model);
+    let trailing = sweep.run_stack(&tests, power_mapping(PowerSyncStyle::Trailing), &model);
     let bugs: Vec<_> = trailing
         .iter()
         .filter(|r| r.classification() == Classification::Bug)
@@ -248,7 +248,7 @@ fn arm_load_load_hazard_and_fix() {
     let t = suite::corr([MemOrder::Rlx; 4]);
     let c11 = C11Model::new();
     assert!(!c11.permits_target(&t));
-    let compiled = compile(&t, &PowerLeadingSync).unwrap();
+    let compiled = compile(&t, power_mapping(PowerSyncStyle::Leading)).unwrap();
     assert!(UarchModel::armv7_a9_ldld_hazard().observes(compiled.program(), compiled.target()));
     assert!(!UarchModel::armv7_a9like().observes(compiled.program(), compiled.target()));
 }

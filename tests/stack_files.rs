@@ -7,14 +7,18 @@
 //!    for randomly generated IRs — the parser accepts exactly the
 //!    grammar `ModelIr`'s `Display` renders.
 //! 2. **Bit-identity**: sweeping the committed `models/x86-tso.stack`
-//!    file through [`Sweep::run_matrix`] reproduces the built-in x86
-//!    study's golden fixture byte-for-byte, proving a stack loaded from
-//!    text is the same stack as one built in Rust source.
+//!    file through `--stack`'s path ([`load_stack_file`] and
+//!    [`report::stack_table`]) reproduces the x86 study's golden fixture
+//!    byte-for-byte. The file *is* the built-in study (`x86_stacks`
+//!    embeds it), and `models/x86-tso.cat` is the only other text of its
+//!    model: the two must parse to the same IR.
 
 use std::path::Path;
 
 use proptest::prelude::*;
-use tricheck::core::{load_stack_file, power_stacks, report, riscv_stacks, x86_stacks, Sweep};
+use tricheck::core::{
+    load_model_file, load_stack_file, power_stacks, report, riscv_stacks, x86_stacks, Sweep,
+};
 use tricheck::litmus::suite;
 use tricheck::rel::ir::{AxiomKind, ModelIr, RelExpr, SetExpr};
 use tricheck::rel::parse_model;
@@ -37,6 +41,19 @@ fn file_loaded_x86_tso_stack_matches_committed_fixture() {
         out, fixture,
         "the file-loaded x86-TSO stack drifted from the built-in study"
     );
+}
+
+/// The x86 model has two texts, the bare `.cat` file and the stack
+/// file's `model` section; they define one model.
+#[test]
+fn x86_tso_cat_and_stack_model_section_are_one_model() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let cat = load_model_file(&root.join("models/x86-tso.cat")).expect("x86-tso.cat loads");
+    let loaded = load_stack_file(&root.join("models/x86-tso.stack")).expect("stack loads");
+    let builtin = x86_stacks();
+    for stack in loaded.stacks.iter().chain(&builtin) {
+        assert_eq!(stack.model.ir(), &cat, "{}", stack.mapping.name());
+    }
 }
 
 /// Every stack in the three registered matrices round-trips its model IR
