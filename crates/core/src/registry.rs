@@ -283,15 +283,15 @@ pub fn parse_stack_file(src: &str, origin: &str) -> Result<LoadedStack, StackFil
     parse_stack(src, origin, true)
 }
 
-/// Parses a stack file the crate ships, without linting it: the
-/// built-in x86 study is loaded lazily, possibly inside a caller's
-/// metrics session, whose lint counters must only count the caller's
-/// files. `tests/lint.rs` keeps the committed files lint-clean.
-pub(crate) fn parse_builtin_stack(src: &str, origin: &str) -> Result<LoadedStack, StackFileError> {
-    parse_stack(src, origin, false)
-}
-
-fn parse_stack(src: &str, origin: &str, lint: bool) -> Result<LoadedStack, StackFileError> {
+/// [`parse_stack_file`], with linting (and its trace counters) off when
+/// `lint` is false: the built-in x86 study is parsed lazily, possibly
+/// inside a caller's metrics session, whose lint counters must count
+/// only the caller's files. `tests/lint.rs` keeps the shipped file clean.
+pub(crate) fn parse_stack(
+    src: &str,
+    origin: &str,
+    lint: bool,
+) -> Result<LoadedStack, StackFileError> {
     let err = |line: usize, msg: String| StackFileError::new(origin, line, msg);
 
     let mut name: Option<String> = None;

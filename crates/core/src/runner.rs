@@ -98,7 +98,7 @@ use tricheck_litmus::{outcome_set, Execution, ExecutionSpace, LitmusTest, Outcom
 use tricheck_rel::CompiledModel;
 use tricheck_uarch::{FusedJudge, JudgeWork, UarchModel};
 
-use crate::registry::{parse_builtin_stack, LoadedStack};
+use crate::registry::{parse_stack, LoadedStack};
 use crate::store::{C11Cached, SpaceStore};
 use crate::verdict::{Classification, TestResult};
 
@@ -1376,11 +1376,9 @@ pub fn power_stacks() -> Vec<MatrixStack<'static>> {
 #[must_use]
 pub fn x86_stacks() -> Vec<MatrixStack<'static>> {
     static X86_TSO: LazyLock<LoadedStack> = LazyLock::new(|| {
-        parse_builtin_stack(
-            include_str!("../../../models/x86-tso.stack"),
-            "models/x86-tso.stack",
-        )
-        .unwrap_or_else(|e| panic!("the committed x86 stack file must parse: {e}"))
+        let src = include_str!("../../../models/x86-tso.stack");
+        parse_stack(src, "models/x86-tso.stack", false)
+            .unwrap_or_else(|e| panic!("the committed x86 stack file must parse: {e}"))
     });
     X86_TSO
         .stacks
