@@ -387,7 +387,7 @@ pub fn compile(test: &LitmusTest, mapping: &dyn Mapping) -> Result<CompiledTest,
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tricheck_isa::{format_program, Asm};
+    use tricheck_isa::{format_program, Asm, FenceKind};
     use tricheck_litmus::suite;
 
     use tricheck_isa::RiscvIsa::{Base, BaseA};
@@ -537,6 +537,37 @@ T1:
     }
 
     #[test]
+    fn trailing_sync_places_sync_after_sc_accesses() {
+        let compiled = compile(
+            &suite::sb([MemOrder::Sc; 4]),
+            power_mapping(PowerSyncStyle::Trailing),
+        )
+        .unwrap();
+        let t0 = &compiled.program().threads()[0];
+        // st sc = lwsync; st; sync — then ld sc = ld; sync.
+        assert!(matches!(
+            t0[0],
+            Instr::Fence {
+                ann: HwAnnot::Fence(FenceKind::CumulativeLight)
+            }
+        ));
+        assert!(matches!(t0[1], Instr::Write { .. }));
+        assert!(matches!(
+            t0[2],
+            Instr::Fence {
+                ann: HwAnnot::Fence(FenceKind::CumulativeHeavy)
+            }
+        ));
+        assert!(matches!(t0[3], Instr::Read { .. }));
+        assert!(matches!(
+            t0[4],
+            Instr::Fence {
+                ann: HwAnnot::Fence(FenceKind::CumulativeHeavy)
+            }
+        ));
+    }
+
+    #[test]
     fn compilation_preserves_observed_registers() {
         for mapping in [
             riscv_mapping(Base, Curr),
@@ -548,6 +579,37 @@ T1:
             assert_eq!(compiled.observed(), test.observed());
             assert_eq!(compiled.target(), test.target());
         }
+    }
+
+    #[test]
+    fn whole_suite_compiles_under_every_riscv_mapping() {
+        for (isa, version) in [
+            (RiscvIsa::Base, SpecVersion::Curr),
+            (RiscvIsa::Base, SpecVersion::Ours),
+            (RiscvIsa::BaseA, SpecVersion::Curr),
+            (RiscvIsa::BaseA, SpecVersion::Ours),
+        ] {
+            let mapping = riscv_mapping(isa, version);
+            for test in suite::full_suite() {
+                compile(&test, mapping).unwrap_or_else(|e| {
+                    panic!("{} fails under {}: {e}", test.name(), mapping.name())
+                });
+            }
+        }
+    }
+
+    #[test]
+    fn rmw_unsupported_on_base() {
+        let err = riscv_mapping(Base, Curr)
+            .rmw(Reg(0), Expr::Const(1), RmwKind::FetchAddZero, MemOrder::Sc)
+            .unwrap_err();
+        assert!(matches!(
+            err,
+            CompileError::Unsupported {
+                construct: "C11 RMW",
+                ..
+            }
+        ));
     }
 
     /// W004's rule on the built-in tables: `ld` and `st` define every

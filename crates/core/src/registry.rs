@@ -5,25 +5,18 @@
 //! matrix column that never appears in Rust source:
 //!
 //! ```text
-//! # An excerpt of models/x86-tso.stack, the built-in x86 study.
-//! stack x86-tso
-//! isa x86
-//! title x86 mapping study: C11 → x86 mappings on TSO
+//! # An illustrative shape; models/x86-tso.stack is a complete one.
+//! stack demo
+//! isa demo
+//! title demo study
 //!
-//! mapping sc-atomics
-//!   name x86-sc-atomics
-//!   ld rlx|acq|sc = ld
-//!   st rlx|rel = st
-//!   st sc = st; mfence
+//! mapping fenced
+//!   name demo-fenced
+//!   ld rlx|acq|sc = ld; fence rw,rw
+//!   st rlx|rel|sc = fence rw,rw; st
 //!
-//! mapping relaxed
-//!   ld rlx|acq|sc = ld
-//!   st rlx|rel|sc = st
-//!
-//! model x86-TSO
-//!   ppo := [M]po[M] \ (W × R)
+//! model demo-SC
 //!   ...
-//!   Causality: acyclic(hb)
 //! ```
 //!
 //! Header directives: `stack <name>` (required, first), `isa <label>`
