@@ -81,6 +81,7 @@
 //! the `--shards` protocol (job on stdin, result on stdout). It is an
 //! implementation detail of `tricheck-dist`, not a user command.
 
+use std::io::{self, Write};
 use std::process::ExitCode;
 
 use tricheck::core::explain::diagnose;
@@ -89,13 +90,52 @@ use tricheck::prelude::*;
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    match run(&args) {
+    let mut out = io::stdout().lock();
+    let result = run(&args, &mut out).and_then(|code| {
+        out.flush()?;
+        Ok(code)
+    });
+    match result {
         Ok(code) => ExitCode::from(code),
-        Err(msg) => {
+        Err(Failure::ReaderGone) => ExitCode::SUCCESS,
+        Err(Failure::Error(msg)) => {
             eprintln!("error: {msg}");
             eprintln!();
             eprintln!("{USAGE}");
             ExitCode::FAILURE
+        }
+    }
+}
+
+/// Why a command ended without an exit code of its own.
+#[derive(Debug)]
+enum Failure {
+    /// A usage, input or run error, reported with the usage text.
+    Error(String),
+    /// The reader of stdout went away (`tricheck list | head -3`). Not
+    /// an error: nobody is left to print for, so the command ends
+    /// quietly and successfully.
+    ReaderGone,
+}
+
+impl From<String> for Failure {
+    fn from(msg: String) -> Self {
+        Failure::Error(msg)
+    }
+}
+
+impl From<&str> for Failure {
+    fn from(msg: &str) -> Self {
+        Failure::Error(msg.to_string())
+    }
+}
+
+impl From<io::Error> for Failure {
+    fn from(e: io::Error) -> Self {
+        if e.kind() == io::ErrorKind::BrokenPipe {
+            Failure::ReaderGone
+        } else {
+            Failure::Error(format!("writing output: {e}"))
         }
     }
 }
@@ -447,12 +487,13 @@ fn format_c11_program(test: &LitmusTest) -> String {
     out
 }
 
-fn run(args: &[String]) -> Result<u8, String> {
+/// Runs one command, writing its output to `out`.
+fn run(args: &[String], out: &mut dyn Write) -> Result<u8, Failure> {
     // `help`, `--help` and `-h` print the usage and succeed, with or
     // without a command (`tricheck sweep --help`).
     if args.first().is_some_and(|a| a == "help") || args.iter().any(|a| a == "--help" || a == "-h")
     {
-        println!("{USAGE}");
+        writeln!(out, "{USAGE}")?;
         return Ok(0);
     }
     let (positional, opts) = parse_options(args)?;
@@ -465,7 +506,7 @@ fn run(args: &[String]) -> Result<u8, String> {
             let mut count = 0;
             for t in suite::full_suite() {
                 if family.as_deref().is_none_or(|f| t.family() == f) {
-                    println!("{}", t.name());
+                    writeln!(out, "{}", t.name())?;
                     count += 1;
                 }
             }
@@ -475,16 +516,17 @@ fn run(args: &[String]) -> Result<u8, String> {
         "show" => {
             let name = pos.next().ok_or("show needs a test name")?;
             let test = find_test(name)?;
-            println!("{}", format_c11_program(&test));
-            println!("target outcome: {}", test.target());
+            writeln!(out, "{}", format_c11_program(&test))?;
+            writeln!(out, "target outcome: {}", test.target())?;
             let c11 = C11Model::new();
-            println!(
+            writeln!(
+                out,
                 "C11 verdict: {}",
                 match c11.judge(&test) {
                     C11Verdict::Permitted => "permitted",
                     C11Verdict::Forbidden => "forbidden",
                 }
-            );
+            )?;
             Ok(0)
         }
         "compile" => {
@@ -492,8 +534,8 @@ fn run(args: &[String]) -> Result<u8, String> {
             let test = find_test(name)?;
             let mapping = riscv_mapping(opts.isa, opts.spec);
             let compiled = compile(&test, mapping).map_err(|e| e.to_string())?;
-            println!("mapping: {}", mapping.name());
-            print!("{}", format_program(compiled.program(), Asm::RiscV));
+            writeln!(out, "mapping: {}", mapping.name())?;
+            write!(out, "{}", format_program(compiled.program(), Asm::RiscV))?;
             Ok(0)
         }
         "verify" => {
@@ -503,7 +545,7 @@ fn run(args: &[String]) -> Result<u8, String> {
             let model = resolve_model(&opts)?;
             let stack = TriCheck::new(mapping, model);
             let result = stack.verify(&test).map_err(|e| e.to_string())?;
-            println!("{result}");
+            writeln!(out, "{result}")?;
             Ok(0)
         }
         "diagnose" => {
@@ -512,7 +554,7 @@ fn run(args: &[String]) -> Result<u8, String> {
             let mapping = riscv_mapping(opts.isa, opts.spec);
             let model = resolve_model(&opts)?;
             let d = diagnose(mapping, &model, &test).map_err(|e| e.to_string())?;
-            print!("{d}");
+            write!(out, "{d}")?;
             Ok(0)
         }
         "dot" => {
@@ -523,25 +565,26 @@ fn run(args: &[String]) -> Result<u8, String> {
             let d = diagnose(mapping, &model, &test).map_err(|e| e.to_string())?;
             match d.witness_dot {
                 Some(dot) => {
-                    print!("{dot}");
+                    write!(out, "{dot}")?;
                     Ok(0)
                 }
                 None => Err(format!(
                     "target outcome of '{name}' is not observable on {} — no witness to draw",
                     opts.model
-                )),
+                )
+                .into()),
             }
         }
         "file" => {
             let path = pos.next().ok_or("file needs a path")?;
             let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
             let test = tricheck::litmus::format::parse_litmus(&text).map_err(|e| e.to_string())?;
-            println!("{}", format_c11_program(&test));
-            println!("target outcome: {}", test.target());
+            writeln!(out, "{}", format_c11_program(&test))?;
+            writeln!(out, "target outcome: {}", test.target())?;
             let mapping = riscv_mapping(opts.isa, opts.spec);
             let model = resolve_model(&opts)?;
             let d = diagnose(mapping, &model, &test).map_err(|e| e.to_string())?;
-            print!("{d}");
+            write!(out, "{d}")?;
             Ok(0)
         }
         "lint" => {
@@ -554,18 +597,19 @@ fn run(args: &[String]) -> Result<u8, String> {
                 .count();
             let warnings = diags.len() - errors;
             if opts.json {
-                println!("{}", lint_json(&origin, rules, &diags));
+                writeln!(out, "{}", lint_json(&origin, rules, &diags))?;
             } else {
                 for d in &diags {
                     eprintln!("{origin}:{d}");
                 }
                 if diags.is_empty() {
-                    println!("{origin}: clean ({rules} rules checked)");
+                    writeln!(out, "{origin}: clean ({rules} rules checked)")?;
                 } else {
-                    println!(
+                    writeln!(
+                        out,
                         "{origin}: {errors} error(s), {warnings} warning(s) \
                          ({rules} rules checked)"
-                    );
+                    )?;
                 }
             }
             if errors > 0 {
@@ -583,7 +627,7 @@ fn run(args: &[String]) -> Result<u8, String> {
                 return Err(
                     "--stack and --model cannot be combined: a stack file already \
                      names its model"
-                        .to_string(),
+                        .into(),
                 );
             }
             let mut registry = tricheck::core::StackRegistry::new();
@@ -603,7 +647,8 @@ fn run(args: &[String]) -> Result<u8, String> {
                          a file (built-in µarch model names apply to \
                          verify/diagnose/dot/file)",
                         opts.model
-                    ));
+                    )
+                    .into());
                 }
                 let (ir, diags) =
                     tricheck::core::load_model_file_linted(path).map_err(|e| e.to_string())?;
@@ -622,7 +667,7 @@ fn run(args: &[String]) -> Result<u8, String> {
                 if let Some((name, stacks)) = &model_stacks {
                     extra.push((format!("{name} (loaded from {})", opts.model), stacks));
                 }
-                print!("{}", list_models(&extra));
+                write!(out, "{}", list_models(&extra))?;
                 return Ok(0);
             }
             let custom = !registry.is_empty() || model_stacks.is_some();
@@ -630,14 +675,14 @@ fn run(args: &[String]) -> Result<u8, String> {
                 return Err(
                     "--power/--x86 select built-in matrices and cannot be combined \
                      with --stack or --model FILE"
-                        .to_string(),
+                        .into(),
                 );
             }
             if custom && (opts.shards.is_some() || opts.cache_dir.is_some()) {
                 return Err(
                     "--shards/--cache-dir cannot be combined with --stack or --model \
                      FILE: sharded sweeps only run the built-in matrices"
-                        .to_string(),
+                        .into(),
                 );
             }
             let family = pos.next().cloned().unwrap_or_else(|| "wrc".to_string());
@@ -646,13 +691,13 @@ fn run(args: &[String]) -> Result<u8, String> {
                 .filter(|t| t.family() == family)
                 .collect();
             if tests.is_empty() {
-                return Err(format!("unknown family '{family}'"));
+                return Err(format!("unknown family '{family}'").into());
             }
             if opts.power && opts.x86 {
-                return Err("--power and --x86 are mutually exclusive".to_string());
+                return Err("--power and --x86 are mutually exclusive".into());
             }
             if opts.shards.is_some() || opts.cache_dir.is_some() {
-                return run_dist_sweep(&family, &tests, &opts);
+                return run_dist_sweep(&family, &tests, &opts, out);
             }
             let session = begin_sweep_trace(&opts);
             let mut sweep_opts = SweepOptions::default();
@@ -665,42 +710,49 @@ fn run(args: &[String]) -> Result<u8, String> {
             let sweep = Sweep::with_options(sweep_opts);
             let results = if let Some(loaded) = registry.loaded().first() {
                 let results = sweep.run_matrix(&tests, &loaded.stacks);
-                print_report(|| report::stack_table(&results, &loaded.title));
+                print_report(out, || report::stack_table(&results, &loaded.title))?;
                 results
             } else if let Some((_, stacks)) = &model_stacks {
                 let results = sweep.run_matrix(&tests, stacks);
-                print_report(|| report::family_chart(&results, &family));
+                print_report(out, || report::family_chart(&results, &family))?;
                 results
             } else if opts.power {
                 let results = sweep.run_power(&tests);
-                print_report(|| report::power_table(&results));
+                print_report(out, || report::power_table(&results))?;
                 results
             } else if opts.x86 {
                 let results = sweep.run_x86(&tests);
-                print_report(|| report::x86_table(&results));
+                print_report(out, || report::x86_table(&results))?;
                 results
             } else {
                 let results = sweep.run_riscv(&tests);
-                print_report(|| report::family_chart(&results, &family));
+                print_report(out, || report::family_chart(&results, &family))?;
                 results
             };
             let report =
                 end_sweep_trace(session, &opts, results.stats(), None, None, lint_counters)?;
             if opts.cache_stats {
-                print_engine_stats(&report);
+                print_engine_stats(out, &report)?;
             }
             Ok(0)
         }
         // The child half of the --shards protocol: job on stdin, result
         // on stdout. Spawned by the planner, not typed by users (hence
         // absent from the usage text).
-        "shard-worker" => tricheck::dist::shard_worker_stdio().map(|()| 0),
-        other => Err(format!("unknown command '{other}'")),
+        "shard-worker" => tricheck::dist::shard_worker_stdio()
+            .map(|()| 0)
+            .map_err(Failure::Error),
+        other => Err(format!("unknown command '{other}'").into()),
     }
 }
 
 /// The sharded / persistent sweep path (`--shards` or `--cache-dir`).
-fn run_dist_sweep(family: &str, tests: &[LitmusTest], opts: &Options) -> Result<u8, String> {
+fn run_dist_sweep(
+    family: &str,
+    tests: &[LitmusTest],
+    opts: &Options,
+    out: &mut dyn Write,
+) -> Result<u8, Failure> {
     let cache_dir = opts
         .cache_dir
         .as_deref()
@@ -731,11 +783,11 @@ fn run_dist_sweep(family: &str, tests: &[LitmusTest], opts: &Options) -> Result<
     };
     let dist = run_sharded(spec, tests, &dist_opts).map_err(|e| e.to_string())?;
     if opts.power {
-        print_report(|| report::power_table(&dist.results));
+        print_report(out, || report::power_table(&dist.results))?;
     } else if opts.x86 {
-        print_report(|| report::x86_table(&dist.results));
+        print_report(out, || report::x86_table(&dist.results))?;
     } else {
-        print_report(|| report::family_chart(&dist.results, family));
+        print_report(out, || report::family_chart(&dist.results, family))?;
     }
     let store_stats = dist.store_stats();
     let trace_report = end_sweep_trace(
@@ -749,7 +801,7 @@ fn run_dist_sweep(family: &str, tests: &[LitmusTest], opts: &Options) -> Result<
         None,
     )?;
     if opts.cache_stats {
-        print_engine_stats(&trace_report);
+        print_engine_stats(out, &trace_report)?;
     }
     Ok(0)
 }
@@ -1024,9 +1076,9 @@ fn validate_cache_dir(path: &str) -> Result<std::path::PathBuf, String> {
 /// Renders and prints a results table under the `report` phase, so
 /// chart formatting shows up in the metrics instead of widening the
 /// busy-vs-wall gap.
-fn print_report(render: impl FnOnce() -> String) {
+fn print_report(out: &mut dyn Write, render: impl FnOnce() -> String) -> io::Result<()> {
     let _t = tricheck::trace::span(tricheck::trace::Phase::Report);
-    print!("{}", render());
+    write!(out, "{}", render())
 }
 
 /// Prints the `--cache-stats` block: every counter of the final
@@ -1035,17 +1087,29 @@ fn print_report(render: impl FnOnce() -> String) {
 /// counters, persistent-store counters (`store_*`, when `--cache-dir`
 /// is set), and trace-layer counters all share one flat namespace —
 /// the same names the `--metrics-json` document uses.
-fn print_engine_stats(report: &tricheck::trace::TraceReport) {
-    println!();
-    println!("cache stats:");
+fn print_engine_stats(
+    out: &mut dyn Write,
+    report: &tricheck::trace::TraceReport,
+) -> io::Result<()> {
+    writeln!(out)?;
+    writeln!(out, "cache stats:")?;
     for (name, value) in &report.counters {
-        println!("  {name}: {value}");
+        writeln!(out, "  {name}: {value}")?;
     }
+    Ok(())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Runs a command with its output discarded and its failure as text.
+    fn run(args: &[String]) -> Result<u8, String> {
+        super::run(args, &mut io::sink()).map_err(|failure| match failure {
+            Failure::Error(msg) => msg,
+            Failure::ReaderGone => unreachable!("a sink never closes"),
+        })
+    }
 
     fn strings(args: &[&str]) -> Vec<String> {
         args.iter().map(|s| s.to_string()).collect()

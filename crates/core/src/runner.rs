@@ -26,12 +26,13 @@
 //!    deduplicated across cells, so each test compiles exactly once per
 //!    distinct mapping (a `OnceLock` per pair).
 //! 3. **Candidate enumeration** depends only on the *compiled program* —
-//!    spaces are cached by the program's structural
-//!    [`Fingerprint`](tricheck_litmus::Fingerprint), so every model cell
-//!    sharing a mapping shares one enumeration, and any two mappings that
-//!    emit identical code (e.g. all-relaxed variants) share one too. In
-//!    full-outcome mode the space's cached outcome partition is shared
-//!    the same way.
+//!    every model cell sharing a mapping judges one enumeration (see the
+//!    work unit below). Groups at or above the sharing break-even also
+//!    cache it: spaces are keyed by the program's structural
+//!    [`Fingerprint`](tricheck_litmus::Fingerprint), so any two mappings
+//!    that emit identical code (e.g. all-relaxed variants) share one
+//!    enumeration too. In full-outcome mode the space's cached outcome
+//!    partition is shared the same way.
 //!
 //! # The work unit: (test, mapping group)
 //!
@@ -39,15 +40,19 @@
 //! seven Table 7 models of one Figure 15 (ISA, spec version) column).
 //! Every model of a group judges the same compiled program, so the
 //! group is judged together: work is scheduled as (test × group) items,
-//! and each item does one C11 lookup, one compiled-program lookup, one
-//! space lookup, one fused judgement and one space release for all of
-//! the group's models. The fused judgement ([`FusedJudge`]) runs a
-//! multi-output kernel — the group's models lowered into one
-//! hash-consed program, compiled once per sweep per group — that
-//! evaluates the models' shared relations and axioms once per
-//! candidate and returns a verdict bitmask, one bit per model. Results
-//! still land in test-major `t * stacks + s` slots, so the per-item
-//! layer ([`MatrixItems`], [`results_from_items`]) is unchanged.
+//! and each item does one C11 lookup, one compiled-program lookup and
+//! one fused judgement for all of the group's models. The fused
+//! judgement ([`FusedJudge`]) runs a multi-output kernel — the group's
+//! models lowered into one hash-consed program, compiled once per sweep
+//! per group — that evaluates the models' shared relations and axioms
+//! once per candidate and returns a verdict bitmask, one bit per model.
+//! It reads its candidates from one of two sources, chosen per group by
+//! the space-sharing policy below: the program's shared space (one
+//! lookup and one release per item), or one streamed enumeration of the
+//! program. Either way a (test, mapping group) costs one kernel prelude
+//! and one candidate stream, never one per model. Results still land in
+//! test-major `t * stacks + s` slots, so the per-item layer
+//! ([`MatrixItems`], [`results_from_items`]) is unchanged.
 //!
 //! Items are dealt over a work-stealing pool: each worker owns a
 //! contiguous chunk of items and, when drained, steals from the fullest
@@ -68,14 +73,16 @@
 //!
 //! Two extensions widen the engine beyond one process lifetime:
 //!
-//! - **Space-sharing policy** ([`SpaceSharing`]): materializing shared
-//!   spaces only pays off when enough models judge each program. The
-//!   break-even is decided per group: [`SpaceSharing::Auto`] gives a
-//!   group of at least [`SHARING_BREAK_EVEN`] models (a Figure 15
-//!   column) shared spaces and a fused judge, while a smaller group (a
-//!   Power or x86 mapping, with two models or one) loops its models over
-//!   the one-shot streaming paths — bit-identical rows either way,
-//!   pinned by `tests/power_equivalence.rs`.
+//! - **Space-sharing policy** ([`SpaceSharing`]): materializing a
+//!   shared space only pays off when enough models judge each program.
+//!   The break-even is decided per group and only picks where the
+//!   group's fused judge reads candidates: [`SpaceSharing::Auto`] gives
+//!   a group of at least [`SHARING_BREAK_EVEN`] models (a Figure 15
+//!   column) shared spaces, while a smaller group (a Power or x86
+//!   mapping, with two models or one) streams each program through its
+//!   fused judge, materializing nothing — bit-identical rows either
+//!   way, pinned by `tests/power_equivalence.rs` and
+//!   `tests/engine_equivalence.rs`.
 //! - **Persistence** ([`SpaceStore`], implemented on disk by
 //!   `tricheck-dist`): with a store attached, C11 verdicts and
 //!   materialized spaces are loaded instead of recomputed and written
@@ -94,7 +101,7 @@ use tricheck_compiler::{
     compile, power_mapping, riscv_mapping, CompileError, CompiledTest, Mapping, PowerSyncStyle,
 };
 use tricheck_isa::{HwAnnot, RiscvIsa, SpecVersion};
-use tricheck_litmus::{outcome_set, Execution, ExecutionSpace, LitmusTest, Outcome};
+use tricheck_litmus::{ExecutionSpace, LitmusTest, Outcome};
 use tricheck_rel::CompiledModel;
 use tricheck_uarch::{FusedJudge, JudgeWork, UarchModel};
 
@@ -118,40 +125,43 @@ pub enum OutcomeMode {
     FullOutcomes,
 }
 
-/// Whether a sweep materializes shared execution spaces or streams
-/// per-query enumerations.
+/// Where a mapping group's fused judge reads its candidates: from
+/// shared execution spaces, or from one streamed enumeration per
+/// (test, mapping).
 ///
-/// Materializing a program's matching set (or outcome partition) in a
-/// shared [`ExecutionSpace`] pays off when several model cells judge the
-/// same program — a Figure 15 mapping group amortizes each
-/// materialization over 7 models through one fused judgement. A small
-/// group like a §7 Power mapping's (2 models) has nothing to amortize,
-/// and the one-shot streaming paths (short-circuiting witness search /
-/// streaming outcome enumeration) are strictly cheaper. Both paths
-/// produce bit-identical rows; only the cost profile and [`SweepStats`]
-/// space counters differ.
+/// Every group judges each program once for all of its models (see
+/// [`FusedJudge`]); this policy only decides whether the candidates are
+/// first materialized. Materializing a program's matching set (or
+/// outcome partition) in a shared [`ExecutionSpace`] pays off when the
+/// materialization is reused — by a large group, by other mappings
+/// emitting the same program, or by a [`SpaceStore`]. A small group like
+/// a §7 Power mapping's (2 models) has nothing to amortize it over, and
+/// streaming (a witness search that stops once every model has a
+/// witness, or one outcome-tracking enumeration) is cheaper. Both
+/// sources produce bit-identical rows; only the cost profile and the
+/// [`SweepStats`] space counters differ.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Default)]
 pub enum SpaceSharing {
-    /// Materialize shared spaces when a [`SpaceStore`] is attached
-    /// (persisted views must exist to be saved, and warm loads make
-    /// sharing free) or for a mapping group of at least
-    /// [`SHARING_BREAK_EVEN`] models; stream otherwise.
+    /// Read shared spaces when a [`SpaceStore`] is attached (persisted
+    /// views must exist to be saved, and warm loads make sharing free)
+    /// or for a mapping group of at least [`SHARING_BREAK_EVEN`] models;
+    /// stream otherwise.
     #[default]
     Auto,
-    /// Always materialize shared spaces (the pre-break-even behaviour;
-    /// what the exactly-once contract tests pin).
+    /// Always read shared spaces (what the exactly-once contract tests
+    /// pin).
     Always,
-    /// Always stream. With a store attached this disables space
-    /// persistence (there is nothing materialized to save), so it is
-    /// mainly a benchmarking/debugging mode.
+    /// Always stream, whatever the group size. With a store attached
+    /// this disables space persistence (there is nothing materialized to
+    /// save), so it is mainly a benchmarking/debugging mode.
     Never,
 }
 
 /// The minimum number of models in a mapping group at which
-/// [`SpaceSharing::Auto`] gives the group shared execution spaces and a
-/// fused judge: below this, per-model streaming wins. A Figure 15
-/// mapping group has 7 models (shared); a Power mapping's has 2 and an
-/// x86 mapping's 1 (streamed).
+/// [`SpaceSharing::Auto`] has the group's fused judge read shared
+/// execution spaces: below this, streaming each program through the
+/// judge wins. A Figure 15 mapping group has 7 models (shared spaces); a
+/// Power mapping's has 2 and an x86 mapping's 1 (streamed).
 pub const SHARING_BREAK_EVEN: usize = 3;
 
 /// Options controlling a sweep.
@@ -340,8 +350,8 @@ pub struct SweepStats {
     /// Compilations performed — exactly one per (test, mapping) pair.
     pub compile_calls: usize,
     /// Cell visits that reused an already-compiled program. A group
-    /// judging shared spaces looks its program up once per test for all
-    /// of its cells, so every cell after the first is a reuse.
+    /// looks its program up once per test for all of its cells, so every
+    /// cell after the first is a reuse.
     pub compile_cache_hits: usize,
     /// Distinct compiled programs (execution spaces created).
     pub distinct_programs: usize,
@@ -361,15 +371,13 @@ pub struct SweepStats {
     pub compiled_kernels: usize,
     /// µarch candidate judgements that reused their stream's kernel
     /// prelude instead of evaluating one: a stream's judgements after
-    /// its first. Always zero on the streaming path, where every
-    /// one-shot judgement evaluates its own prelude.
+    /// its first.
     pub prelude_hits: usize,
     /// µarch kernel preludes evaluated: one per judging stream, i.e. at
-    /// most one per (test, group) visit of a group judging shared
-    /// spaces (per full-outcome space, or per non-empty matching view),
-    /// and one per candidate judged on the streaming path.
-    /// `prelude_hits + prelude_misses` is the number of µarch candidate
-    /// judgements.
+    /// most one per (test, group) visit — per full-outcome space or
+    /// enumeration, or per target search that found a candidate — on
+    /// shared spaces and streams alike. `prelude_hits + prelude_misses`
+    /// is the number of µarch candidate judgements.
     pub prelude_misses: usize,
 }
 
@@ -508,31 +516,45 @@ struct Group<'a, 'm> {
     mapping: &'m dyn Mapping,
     /// The group's cells as (matrix column, model), in matrix order.
     cells: Vec<(usize, &'a UarchModel)>,
-    /// The fused kernel of the group's models when the group judges
-    /// shared spaces; `None` when it streams.
-    judge: Option<FusedJudge>,
+    /// The fused kernel of the group's models, compiled once per sweep.
+    judge: FusedJudge,
+    /// Whether the judge reads candidates from shared execution spaces
+    /// (at or above the sharing break-even) or streams them.
+    shares_spaces: bool,
 }
 
 impl<'a, 'm> Group<'a, 'm> {
-    /// Groups `cells` by mapping, in order of first appearance. A
-    /// mapping with more models than one kernel judges is split.
-    fn of(cells: &[Cell<'a, 'm>]) -> Vec<Self> {
-        let mut groups: Vec<Group<'a, 'm>> = Vec::new();
+    /// Groups `cells` by mapping, in order of first appearance, and
+    /// compiles each group's fused judge. A mapping with more models
+    /// than one kernel judges is split. `shares_spaces(models)` decides
+    /// each group's candidate source.
+    fn of(cells: &[Cell<'a, 'm>], shares_spaces: impl Fn(usize) -> bool) -> Vec<Self> {
+        // Each group's matrix columns, in order of first appearance.
+        let mut columns: Vec<Vec<usize>> = Vec::new();
         for (s, cell) in cells.iter().enumerate() {
-            let open = groups.iter_mut().rev().find(|g| {
-                g.mapping_idx == cell.mapping_idx && g.cells.len() < CompiledModel::MAX_MODELS
+            let open = columns.iter_mut().rev().find(|group| {
+                cells[group[0]].mapping_idx == cell.mapping_idx
+                    && group.len() < CompiledModel::MAX_MODELS
             });
             match open {
-                Some(group) => group.cells.push((s, cell.model)),
-                None => groups.push(Group {
-                    mapping_idx: cell.mapping_idx,
-                    mapping: cell.mapping,
-                    cells: vec![(s, cell.model)],
-                    judge: None,
-                }),
+                Some(group) => group.push(s),
+                None => columns.push(vec![s]),
             }
         }
-        groups
+        columns
+            .into_iter()
+            .map(|columns| {
+                let first = &cells[columns[0]];
+                let models: Vec<&UarchModel> = columns.iter().map(|&s| cells[s].model).collect();
+                Group {
+                    mapping_idx: first.mapping_idx,
+                    mapping: first.mapping,
+                    judge: FusedJudge::new(&models),
+                    shares_spaces: shares_spaces(models.len()),
+                    cells: columns.into_iter().zip(models).collect(),
+                }
+            })
+            .collect()
     }
 }
 
@@ -812,11 +834,12 @@ impl<'t> SweepCache<'t> {
     /// of the group's cells its result via `emit(matrix column, result)`
     /// (`None` if the mapping cannot compile the test).
     ///
-    /// A group with a fused judge makes one space lookup and one fused
-    /// judgement for all of its models; a streaming group (below the
-    /// sharing break-even) has nothing to amortize and loops its models
-    /// over the one-shot paths (short-circuiting witness search /
-    /// streaming outcome enumeration).
+    /// Every item makes one compiled-program lookup and one fused
+    /// judgement for all of the group's models. A group sharing spaces
+    /// judges the program's shared space (looked up, then released for
+    /// eager reclamation); a streaming group (below the sharing
+    /// break-even) judges one unpruned enumeration of the program that
+    /// materializes nothing.
     fn process(
         &self,
         t: usize,
@@ -828,16 +851,6 @@ impl<'t> SweepCache<'t> {
         // every test's C11 verdict too).
         let entry = self.c11_entry(t);
         let test = &self.tests[t];
-        let Some(judge) = &group.judge else {
-            for &(s, model) in &group.cells {
-                let compiled = self.compiled(t, group.mapping_idx, group.mapping);
-                emit(
-                    s,
-                    compiled.ok().map(|c| self.stream(test, entry, &c, model)),
-                );
-            }
-            return;
-        };
         let compiled = self.compiled(t, group.mapping_idx, group.mapping);
         // One lookup serves the whole group: every cell after the first
         // reuses the program it returned.
@@ -850,19 +863,31 @@ impl<'t> SweepCache<'t> {
             }
             return;
         };
-        let (space, fingerprint) = self.space_for(&compiled);
+        let judge = &group.judge;
+        let space = group.shares_spaces.then(|| self.space_for(&compiled));
         let mut work = JudgeWork::default();
         match entry {
             C11Cached::Target(permitted) => {
-                let observable = judge.observes_in(&space, compiled.target(), &mut work);
+                let observable = match &space {
+                    Some((space, _)) => judge.observes_in(space, compiled.target(), &mut work),
+                    None => judge.observes(compiled.program(), compiled.target(), &mut work),
+                };
                 for (k, &(s, _)) in group.cells.iter().enumerate() {
                     let observable = observable >> k & 1 == 1;
                     emit(s, Some(TestResult::new(test, *permitted, observable)));
                 }
             }
             C11Cached::Full(permitted) => {
-                let observable =
-                    judge.observable_outcomes_in(&space, compiled.observed(), &mut work);
+                let observable = match &space {
+                    Some((space, _)) => {
+                        judge.observable_outcomes_in(space, compiled.observed(), &mut work)
+                    }
+                    None => judge.observable_outcomes(
+                        compiled.program(),
+                        compiled.observed(),
+                        &mut work,
+                    ),
+                };
                 for (&(s, _), observable) in group.cells.iter().zip(&observable) {
                     let classification = classify_sets(permitted, observable);
                     emit(
@@ -872,45 +897,10 @@ impl<'t> SweepCache<'t> {
                 }
             }
         }
-        self.release_space(fingerprint, space);
+        if let Some((space, fingerprint)) = space {
+            self.release_space(fingerprint, space);
+        }
         self.count_streams(work);
-    }
-
-    /// One model's one-shot verdict on a compiled test, streaming the
-    /// enumeration without materializing a space.
-    fn stream(
-        &self,
-        test: &LitmusTest,
-        entry: &C11Cached,
-        compiled: &CompiledTest,
-        model: &UarchModel,
-    ) -> TestResult {
-        let mut judged = 0;
-        let mut consistent = |exec: &Execution<HwAnnot>| {
-            judged += 1;
-            model.consistent(exec)
-        };
-        let result = match entry {
-            C11Cached::Target(permitted) => {
-                let observable = ExecutionSpace::witness_search(
-                    compiled.program(),
-                    compiled.target(),
-                    &mut consistent,
-                );
-                TestResult::new(test, *permitted, observable)
-            }
-            C11Cached::Full(permitted) => {
-                let observable =
-                    outcome_set(compiled.program(), compiled.observed(), &mut consistent);
-                TestResult::from_classification(test, classify_sets(permitted, &observable))
-            }
-        };
-        // Every one-shot judgement evaluates its own kernel prelude.
-        self.count_streams(JudgeWork {
-            streams: judged,
-            judged,
-        });
-        result
     }
 
     /// Adds one item's judging work to the prelude counters.
@@ -1191,21 +1181,14 @@ impl Sweep {
 
         // Shared-space materialization amortizes over the models judging
         // each program, so the break-even is decided per group: below it
-        // (and with no store to feed or exploit) the one-shot streaming
-        // paths are cheaper. Sharing groups compile their fused kernel
-        // once, here.
-        let mut groups = Group::of(cells);
-        for group in &mut groups {
-            let share = match self.options.space_sharing {
-                SpaceSharing::Always => true,
-                SpaceSharing::Never => false,
-                SpaceSharing::Auto => store.is_some() || group.cells.len() >= SHARING_BREAK_EVEN,
-            };
-            if share {
-                let models: Vec<&UarchModel> = group.cells.iter().map(|&(_, m)| m).collect();
-                group.judge = Some(FusedJudge::new(&models));
-            }
-        }
+        // (and with no store to feed or exploit) the group's fused judge
+        // streams each program instead. Every group compiles its fused
+        // kernel once, here.
+        let groups = Group::of(cells, |models| match self.options.space_sharing {
+            SpaceSharing::Always => true,
+            SpaceSharing::Never => false,
+            SpaceSharing::Auto => store.is_some() || models >= SHARING_BREAK_EVEN,
+        });
         // Eager space reclamation: with shared spaces and no store to
         // persist them to, every space is dead the moment its last
         // visitor finishes — and the sweep knows exactly how many
@@ -1217,10 +1200,10 @@ impl Sweep {
         // its final use, while its memory is still warm in cache,
         // instead of cold-walking thousands of spaces in one teardown
         // burst.
-        if store.is_none() && groups.iter().any(|g| g.judge.is_some()) {
+        if store.is_none() && groups.iter().any(|g| g.shares_spaces) {
             let mut visits_per_program = vec![0usize; n_mappings];
             let mut mapping_reps: Vec<Option<&dyn Mapping>> = vec![None; n_mappings];
-            for group in groups.iter().filter(|g| g.judge.is_some()) {
+            for group in groups.iter().filter(|g| g.shares_spaces) {
                 visits_per_program[group.mapping_idx] += 1;
                 mapping_reps[group.mapping_idx].get_or_insert(group.mapping);
             }
@@ -1683,8 +1666,8 @@ mod tests {
     #[test]
     fn power_sweep_streams_below_the_sharing_break_even() {
         // The 4-cell Power matrix averages 2 models per mapping — below
-        // SHARING_BREAK_EVEN — so the default sweep takes the streaming
-        // witness path: no spaces are materialized at all, and the rows
+        // SHARING_BREAK_EVEN — so each mapping's fused judge streams its
+        // programs: no spaces are materialized at all, and the rows
         // still match the shared-space run exactly.
         let tests: Vec<_> = suite::sb_template().instantiate_all().collect();
         let streamed = Sweep::new().run_power(&tests);
@@ -1698,6 +1681,8 @@ mod tests {
         // Compile and C11 sharing still hold on the streaming path.
         assert_eq!(streamed.stats().compile_calls, tests.len() * 2);
         assert_eq!(streamed.stats().c11_evaluations, tests.len());
+        // One fused stream, not one per model, per (test, mapping).
+        assert!(streamed.stats().prelude_misses <= streamed.stats().compile_calls);
 
         let shared = Sweep::with_options(SweepOptions {
             space_sharing: SpaceSharing::Always,

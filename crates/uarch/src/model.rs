@@ -29,16 +29,16 @@
 //! 4. **SC-AMO visibility**: on A9like, `rfe` edges out of SC-AMO writes
 //!    are globally agreed (the coherence protocol completed the AMO).
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::sync::OnceLock;
 
 use tricheck_isa::{HwAnnot, SpecVersion};
 use tricheck_litmus::{
-    outcome_set, ConsistencyModel, ExecArena, ExecCursor, Execution, ExecutionSpace, Outcome,
-    Program, Reg,
+    enumerate_executions, enumerate_matching, outcome_set, ConsistencyModel, ExecArena, ExecCursor,
+    Execution, ExecutionSpace, Outcome, Program, Reg,
 };
-use tricheck_rel::{BindingPool, CompiledModel, EvalScratch, EventSet, ModelIr, Relation};
+use tricheck_rel::{BindingPool, CompiledModel, EvalScratch, EventSet, ModelIr, Prelude, Relation};
 
 use crate::config::{ReleasePredecessors, StoreAtomicity, UarchConfig};
 use crate::ir::{build_uarch_ir, fence_edges, HwBinding};
@@ -450,19 +450,33 @@ pub struct JudgeWork {
     pub judged: usize,
 }
 
-/// Several µarch models judging shared execution spaces together.
+/// Several µarch models judging one compiled program together.
 ///
 /// The models are lowered into one multi-output [`CompiledModel`]
 /// (bit `k` of every verdict mask is `models[k]`), so the base
 /// relations, definitions and axiom tests they share are evaluated once
 /// per candidate instead of once per model — the seven Table 7 models
 /// of one ISA version share their communication relations and their
-/// sc-per-location and atomicity axioms outright. Each judgement opens
-/// one matching view (or outcome partition), binds each candidate once,
-/// evaluates one prelude, and stops as soon as every model has its
-/// answer. Verdicts are bit-identical to asking each model's
+/// sc-per-location and atomicity axioms outright.
+///
+/// A judgement reads its candidates from one of two sources, with the
+/// same evaluation either way: one prelude per judgement, one
+/// [`EvalScratch`], each candidate bound once and judged only for the
+/// models still missing an answer.
+///
+/// - **A shared space** ([`FusedJudge::observes_in`],
+///   [`FusedJudge::observable_outcomes_in`]): the space's materialized
+///   matching view or outcome partition, which every other visitor of
+///   the program reuses.
+/// - **A stream** ([`FusedJudge::observes`],
+///   [`FusedJudge::observable_outcomes`]): one unpruned enumeration of
+///   the program, materializing nothing, stopped as soon as every
+///   model has a target witness.
+///
+/// Verdicts are bit-identical to asking each model's
 /// [`UarchModel::observes_in`] / [`UarchModel::observable_outcomes_in`]
-/// separately.
+/// or one-shot [`UarchModel::observes`] /
+/// [`UarchModel::observable_outcomes`] separately.
 #[derive(Clone, Debug)]
 pub struct FusedJudge {
     kernel: CompiledModel,
@@ -514,6 +528,96 @@ impl FusedJudge {
         work: &mut JudgeWork,
     ) -> Vec<BTreeSet<Outcome>> {
         observable_sets(&self.kernel, space, observed, work)
+    }
+
+    /// Target mode over a stream: bit `k` is set iff model `k` can
+    /// observe `target` on `program`. One enumeration of the candidates
+    /// producing `target`, ended as soon as every model has a witness.
+    #[must_use]
+    pub fn observes(
+        &self,
+        program: &Program<HwAnnot>,
+        target: &Outcome,
+        work: &mut JudgeWork,
+    ) -> u64 {
+        let all = self.kernel.all_models();
+        let mut stream = Stream::new(&self.kernel, work);
+        let mut witnessed = 0;
+        enumerate_matching(program, target, &mut |exec| {
+            witnessed |= stream.verdicts(exec, all & !witnessed);
+            witnessed != all
+        });
+        witnessed
+    }
+
+    /// Full-outcome mode over a stream: entry `k` is model `k`'s
+    /// observable-outcome set. One enumeration of every candidate; each
+    /// is judged only for the models that have not yet witnessed its
+    /// outcome.
+    #[must_use]
+    pub fn observable_outcomes(
+        &self,
+        program: &Program<HwAnnot>,
+        observed: &[(usize, Reg)],
+        work: &mut JudgeWork,
+    ) -> Vec<BTreeSet<Outcome>> {
+        let all = self.kernel.all_models();
+        let mut stream = Stream::new(&self.kernel, work);
+        // Per outcome, the models that have witnessed it.
+        let mut witnessed: BTreeMap<Outcome, u64> = BTreeMap::new();
+        enumerate_executions(program, &mut |exec| {
+            let outcome = exec.outcome(observed);
+            let seen = witnessed.get(&outcome).copied().unwrap_or(0);
+            if seen != all {
+                let accepted = stream.verdicts(exec, all & !seen);
+                if accepted != 0 {
+                    *witnessed.entry(outcome).or_default() |= accepted;
+                }
+            }
+            true
+        });
+        let mut sets = vec![BTreeSet::new(); self.kernel.model_count()];
+        for (outcome, mut mask) in witnessed {
+            while mask != 0 {
+                sets[mask.trailing_zeros() as usize].insert(outcome.clone());
+                mask &= mask - 1;
+            }
+        }
+        sets
+    }
+}
+
+/// One streamed judgement: the kernel's prelude, evaluated on the first
+/// candidate's binding, and one scratch, both reused by every later
+/// candidate of the enumeration.
+struct Stream<'k, 'w> {
+    kernel: &'k CompiledModel,
+    prelude: Option<Prelude>,
+    scratch: EvalScratch,
+    work: &'w mut JudgeWork,
+}
+
+impl<'k, 'w> Stream<'k, 'w> {
+    fn new(kernel: &'k CompiledModel, work: &'w mut JudgeWork) -> Self {
+        Stream {
+            kernel,
+            prelude: None,
+            scratch: EvalScratch::default(),
+            work,
+        }
+    }
+
+    /// Judges one candidate for the models of `wanted`, returning the
+    /// mask of those that accept it.
+    fn verdicts(&mut self, exec: &Execution<HwAnnot>, wanted: u64) -> u64 {
+        let binding = HwBinding::new(exec);
+        let prelude = self.prelude.get_or_insert_with(|| {
+            self.work.streams += 1;
+            self.kernel.prelude(&binding)
+        });
+        self.work.judged += 1;
+        self.kernel
+            .verdicts_with_scratch(prelude, &binding, wanted, &mut self.scratch)
     }
 }
 
@@ -927,6 +1031,18 @@ mod tests {
             let mask = fused.observes_in(&space, compiled.target(), &mut work);
             let sets = fused.observable_outcomes_in(&space, compiled.observed(), &mut work);
             assert_eq!(work.streams, 2, "one stream per judgement");
+            // Streaming the program instead of reading the space: the
+            // same verdicts, still one prelude per judgement.
+            let mut streamed = JudgeWork::default();
+            assert_eq!(
+                fused.observes(compiled.program(), compiled.target(), &mut streamed),
+                mask
+            );
+            assert_eq!(
+                fused.observable_outcomes(compiled.program(), compiled.observed(), &mut streamed),
+                sets
+            );
+            assert_eq!(streamed.streams, 2, "one stream per judgement");
             for (k, model) in models.iter().enumerate() {
                 assert_eq!(
                     mask >> k & 1 == 1,

@@ -126,3 +126,37 @@ fn full_suite_sweep_upholds_cache_contract() {
     let a9_bugs = results.bugs_for(key, "A9like");
     assert_eq!(a9_bugs, 144);
 }
+
+/// `SpaceSharing::Never` streams every group, so each Figure 15 column
+/// (seven models) is judged by its fused kernel over one unpruned
+/// enumeration per (test, mapping) instead of a shared space. The rows
+/// must equal the default (`Auto`: shared spaces) sweep's, in target and
+/// full-outcome mode, with nothing materialized and at most one prelude
+/// per (test, mapping).
+#[test]
+fn never_sharing_streams_figure15_groups_with_identical_rows() {
+    let tests: Vec<LitmusTest> = cached_suite().iter().step_by(37).cloned().collect();
+    for outcome_mode in [OutcomeMode::Target, OutcomeMode::FullOutcomes] {
+        let sweep = |space_sharing| {
+            Sweep::with_options(SweepOptions {
+                threads: 2,
+                outcome_mode,
+                space_sharing,
+                ..SweepOptions::default()
+            })
+            .run_riscv(&tests)
+        };
+        let (shared, streamed) = (sweep(SpaceSharing::Auto), sweep(SpaceSharing::Never));
+        assert_eq!(streamed.rows(), shared.rows(), "{outcome_mode:?}");
+        assert!(shared.stats().space_enumerations > 0, "{outcome_mode:?}");
+        let stats = streamed.stats();
+        assert_eq!(stats.distinct_programs, 0, "{outcome_mode:?}");
+        assert_eq!(stats.space_enumerations, 0, "{outcome_mode:?}");
+        assert_eq!(stats.compile_calls, tests.len() * 4, "{outcome_mode:?}");
+        assert!(stats.prelude_misses > 0, "{outcome_mode:?}");
+        assert!(
+            stats.prelude_misses <= stats.compile_calls,
+            "one fused stream per (test, mapping): {outcome_mode:?}"
+        );
+    }
+}

@@ -149,8 +149,8 @@ proptest! {
     /// lowered into one multi-output kernel, and bit `k` of its verdict
     /// mask must equal model `k`'s single-model verdict on every
     /// candidate (also when only some models are wanted), and the fused
-    /// judge must reproduce every model's one-shot verdict in both
-    /// outcome modes.
+    /// judge — over a shared space and over a stream alike — must
+    /// reproduce every model's one-shot verdict in both outcome modes.
     #[test]
     fn ir_uarch_models_agree_with_the_imperative_oracles(test in arb_variant()) {
         use tricheck::litmus::ExecutionSpace;
@@ -220,6 +220,21 @@ proptest! {
             let mut work = JudgeWork::default();
             let observes = fused.observes_in(&space, compiled.target(), &mut work);
             let outcomes = fused.observable_outcomes_in(&space, compiled.observed(), &mut work);
+            // The streamed judgements read the same verdicts off one
+            // unpruned enumeration each, with one prelude per stream.
+            let mut streamed = JudgeWork::default();
+            prop_assert!(
+                fused.observes(compiled.program(), compiled.target(), &mut streamed) == observes,
+                "streamed fused target mask on {}",
+                test.name()
+            );
+            prop_assert!(
+                fused.observable_outcomes(compiled.program(), compiled.observed(), &mut streamed)
+                    == outcomes,
+                "streamed fused outcome sets on {}",
+                test.name()
+            );
+            prop_assert!(streamed.streams <= 2 && streamed.streams <= streamed.judged);
             for (k, model) in models.iter().enumerate() {
                 prop_assert!(
                     (observes >> k & 1 == 1) == model.observes(compiled.program(), compiled.target()),

@@ -12,6 +12,7 @@ use std::collections::BTreeMap;
 use std::sync::OnceLock;
 
 use proptest::prelude::*;
+use tricheck::core::{power_stacks, x86_stacks, SweepStats};
 use tricheck::prelude::*;
 
 /// The 1,701-test suite, instantiated once for every property case.
@@ -78,11 +79,12 @@ proptest! {
 /// The §7 acceptance criterion: over the full 1,701-test suite,
 /// `run_power` produces exactly the counterexample counts of the naive
 /// per-cell study. The 4-cell Power matrix sits below the
-/// space-sharing break-even, so the default sweep takes the streaming
-/// witness path (no spaces materialized at all) while C11 and compile
-/// sharing still hold; forcing `SpaceSharing::Always` restores the
-/// materialized engine and its exactly-once contract — with identical
-/// rows on all three paths.
+/// space-sharing break-even, so the default sweep streams each
+/// (test, mapping) through its fused judge (no spaces materialized at
+/// all, one prelude per stream) while C11 and compile sharing still
+/// hold; forcing `SpaceSharing::Always` restores the materialized engine
+/// and its exactly-once contract — with identical rows on all three
+/// paths.
 #[test]
 fn full_suite_power_sweep_matches_naive_and_upholds_contract() {
     let tests = suite::full_suite();
@@ -110,6 +112,7 @@ fn full_suite_power_sweep_matches_naive_and_upholds_contract() {
         "below the break-even the streaming path materializes nothing"
     );
     assert_eq!(stats.space_enumerations, 0);
+    assert_streaming_work(&tests, &power_stacks(), stats);
 
     // Forced sharing: the pre-break-even engine, whose stats prove the
     // exactly-once contract — each distinct Power program enumerated
@@ -153,6 +156,65 @@ fn full_suite_power_sweep_matches_naive_and_upholds_contract() {
         "ARMv7-A9-ldld-hazard",
     );
     assert!(hazard > 0, "the A9 erratum must surface under leading-sync");
+}
+
+/// The x86 study streams too (one model per mapping): the same pins on
+/// its streaming work counts, over the full suite.
+#[test]
+fn full_suite_x86_sweep_streams_once_per_test_and_mapping() {
+    let tests = suite::full_suite();
+    let engine = Sweep::new().run_x86(&tests);
+    assert_eq!(engine.rows(), Sweep::new().run_x86_naive(&tests).rows());
+    let stats = engine.stats();
+    assert_eq!(stats.compile_calls, 1701 * 2);
+    assert_eq!(stats.distinct_programs, 0);
+    assert_streaming_work(&tests, &x86_stacks(), stats);
+}
+
+/// Pins a target-mode streaming sweep's µarch work: one fused stream —
+/// one kernel prelude — per (test, mapping), and `prelude_hits +
+/// prelude_misses` equal to the candidate judgements a per-model oracle
+/// counts: each (test, mapping)'s matching candidates, in enumeration
+/// order, up to the first at which every model of the mapping has
+/// accepted some candidate.
+fn assert_streaming_work(tests: &[LitmusTest], stacks: &[MatrixStack<'_>], stats: &SweepStats) {
+    let mut groups: Vec<(&dyn Mapping, Vec<&UarchModel>)> = Vec::new();
+    for stack in stacks {
+        match groups
+            .iter_mut()
+            .find(|(m, _)| std::ptr::addr_eq(*m, stack.mapping))
+        {
+            Some((_, models)) => models.push(&stack.model),
+            None => groups.push((stack.mapping, vec![&stack.model])),
+        }
+    }
+    let mut judgements = 0;
+    for test in tests {
+        for (mapping, models) in &groups {
+            let compiled = compile(test, *mapping).expect("suite compiles");
+            let mut witnessed = vec![false; models.len()];
+            tricheck::litmus::enumerate_matching(
+                compiled.program(),
+                compiled.target(),
+                &mut |exec| {
+                    judgements += 1;
+                    for (seen, model) in witnessed.iter_mut().zip(models) {
+                        *seen = *seen || model.consistent(exec);
+                    }
+                    witnessed.contains(&false)
+                },
+            );
+        }
+    }
+    assert_eq!(
+        stats.prelude_misses, stats.compile_calls,
+        "one fused stream per (test, mapping)"
+    );
+    assert_eq!(
+        stats.prelude_hits + stats.prelude_misses,
+        judgements,
+        "µarch candidate judgements"
+    );
 }
 
 /// Classification counts per family from per-call streaming enumeration
