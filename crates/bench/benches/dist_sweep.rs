@@ -17,7 +17,7 @@ use std::path::PathBuf;
 use std::sync::Arc;
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use tricheck_core::{SpaceStore, Sweep, SweepOptions};
+use tricheck_core::{MatrixSpec, SpaceStore, Sweep, SweepOptions};
 use tricheck_dist::DiskStore;
 use tricheck_litmus::{suite, LitmusTest};
 
@@ -28,19 +28,15 @@ fn bench_dir(label: &str) -> PathBuf {
     ))
 }
 
-fn run_with_store(tests: &[LitmusTest], dir: &PathBuf, power: bool) -> usize {
+fn run_with_store(tests: &[LitmusTest], dir: &PathBuf, spec: MatrixSpec) -> usize {
     let store = Arc::new(DiskStore::open(dir).expect("open bench store"));
     let opts = SweepOptions {
         store: Some(store as Arc<dyn SpaceStore>),
         ..SweepOptions::default()
     };
-    let sweep = Sweep::with_options(opts);
-    let results = if power {
-        sweep.run_power(tests)
-    } else {
-        sweep.run_riscv(tests)
-    };
-    results.grand_total_bugs()
+    Sweep::with_options(opts)
+        .run_matrix(tests, &spec.stacks())
+        .grand_total_bugs()
 }
 
 fn bench_dist_sweep(c: &mut Criterion) {
@@ -48,16 +44,14 @@ fn bench_dist_sweep(c: &mut Criterion) {
     group.sample_size(10);
 
     let full = suite::full_suite();
-    for (matrix, power) in [("riscv", false), ("power", true)] {
+    for (matrix, spec) in [("riscv", MatrixSpec::Riscv), ("power", MatrixSpec::Power)] {
         // Baseline: the in-memory engine, no persistence.
         let sweep = Sweep::new();
         group.bench_function(format!("{matrix}/no_store"), |b| {
             b.iter(|| {
-                if power {
-                    sweep.run_power(black_box(&full)).grand_total_bugs()
-                } else {
-                    sweep.run_riscv(black_box(&full)).grand_total_bugs()
-                }
+                sweep
+                    .run_matrix(black_box(&full), &spec.stacks())
+                    .grand_total_bugs()
             });
         });
 
@@ -66,7 +60,7 @@ fn bench_dist_sweep(c: &mut Criterion) {
         group.bench_function(format!("{matrix}/cold_store"), |b| {
             b.iter(|| {
                 let _ = std::fs::remove_dir_all(&cold_dir);
-                run_with_store(black_box(&full), &cold_dir, power)
+                run_with_store(black_box(&full), &cold_dir, spec)
             });
         });
         let _ = std::fs::remove_dir_all(&cold_dir);
@@ -74,9 +68,9 @@ fn bench_dist_sweep(c: &mut Criterion) {
         // Warm: populate once, then every iteration loads from disk.
         let warm_dir = bench_dir(&format!("{matrix}-warm"));
         let _ = std::fs::remove_dir_all(&warm_dir);
-        run_with_store(&full, &warm_dir, power);
+        run_with_store(&full, &warm_dir, spec);
         group.bench_function(format!("{matrix}/warm_store"), |b| {
-            b.iter(|| run_with_store(black_box(&full), &warm_dir, power));
+            b.iter(|| run_with_store(black_box(&full), &warm_dir, spec));
         });
         let _ = std::fs::remove_dir_all(&warm_dir);
     }

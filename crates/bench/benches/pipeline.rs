@@ -7,7 +7,7 @@
 //! --bench pipeline`; the measured numbers are recorded in CHANGES.md.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use tricheck_core::{Sweep, SweepOptions};
+use tricheck_core::{MatrixSpec, Sweep, SweepOptions};
 use tricheck_litmus::suite;
 
 fn bench_pipeline(c: &mut Criterion) {
@@ -23,7 +23,7 @@ fn bench_pipeline(c: &mut Criterion) {
             b.iter(|| sweep.run_riscv_naive(black_box(&wrc)));
         });
         group.bench_function(format!("wrc_family/engine/threads{threads}"), |b| {
-            b.iter(|| sweep.run_riscv(black_box(&wrc)));
+            b.iter(|| sweep.run_matrix(black_box(&wrc), &MatrixSpec::Riscv.stacks()));
         });
     }
 
@@ -36,7 +36,7 @@ fn bench_pipeline(c: &mut Criterion) {
         b.iter(|| sweep.run_riscv_naive(black_box(&full)));
     });
     group.bench_function("full_suite/engine", |b| {
-        b.iter(|| sweep.run_riscv(black_box(&full)));
+        b.iter(|| sweep.run_matrix(black_box(&full), &MatrixSpec::Riscv.stacks()));
     });
     group.finish();
 }

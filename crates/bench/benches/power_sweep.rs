@@ -1,7 +1,7 @@
 //! The §7 compiler study on the naive per-cell recompute path vs. the
 //! shared execution-space engine, in both outcome modes.
 //!
-//! `run_power` covers {leading-sync, trailing-sync} × the two ARMv7
+//! `MatrixSpec::Power` covers {leading-sync, trailing-sync} × the two ARMv7
 //! models; the engine compiles each (test, mapping) pair once and
 //! enumerates each distinct Power program once across all four cells.
 //! The `outcomes/*` pair measures the full-outcome-set mode, whose
@@ -9,7 +9,7 @@
 //! Run with `cargo bench -p tricheck-bench --bench power_sweep`.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use tricheck_core::{OutcomeMode, Sweep, SweepOptions};
+use tricheck_core::{MatrixSpec, OutcomeMode, Sweep, SweepOptions};
 use tricheck_litmus::suite;
 
 fn bench_power_sweep(c: &mut Criterion) {
@@ -22,10 +22,10 @@ fn bench_power_sweep(c: &mut Criterion) {
     for threads in [1, SweepOptions::default().threads] {
         let sweep = Sweep::with_options(SweepOptions::with_threads(threads));
         group.bench_function(format!("wrc_family/naive/threads{threads}"), |b| {
-            b.iter(|| sweep.run_power_naive(black_box(&wrc)));
+            b.iter(|| sweep.run_matrix_naive(black_box(&wrc), &MatrixSpec::Power.stacks()));
         });
         group.bench_function(format!("wrc_family/engine/threads{threads}"), |b| {
-            b.iter(|| sweep.run_power(black_box(&wrc)));
+            b.iter(|| sweep.run_matrix(black_box(&wrc), &MatrixSpec::Power.stacks()));
         });
     }
 
@@ -34,10 +34,10 @@ fn bench_power_sweep(c: &mut Criterion) {
     let full = suite::full_suite();
     let sweep = Sweep::new();
     group.bench_function("full_suite/naive", |b| {
-        b.iter(|| sweep.run_power_naive(black_box(&full)));
+        b.iter(|| sweep.run_matrix_naive(black_box(&full), &MatrixSpec::Power.stacks()));
     });
     group.bench_function("full_suite/engine", |b| {
-        b.iter(|| sweep.run_power(black_box(&full)));
+        b.iter(|| sweep.run_matrix(black_box(&full), &MatrixSpec::Power.stacks()));
     });
     let outcome_opts = SweepOptions {
         outcome_mode: OutcomeMode::FullOutcomes,
@@ -45,10 +45,10 @@ fn bench_power_sweep(c: &mut Criterion) {
     };
     let outcome_sweep = Sweep::with_options(outcome_opts);
     group.bench_function("full_suite/outcomes/naive", |b| {
-        b.iter(|| outcome_sweep.run_power_naive(black_box(&full)));
+        b.iter(|| outcome_sweep.run_matrix_naive(black_box(&full), &MatrixSpec::Power.stacks()));
     });
     group.bench_function("full_suite/outcomes/engine", |b| {
-        b.iter(|| outcome_sweep.run_power(black_box(&full)));
+        b.iter(|| outcome_sweep.run_matrix(black_box(&full), &MatrixSpec::Power.stacks()));
     });
     group.finish();
 }

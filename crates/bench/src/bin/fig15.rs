@@ -9,7 +9,7 @@
 //! `tricheck-metrics/v1` report (phase timings, trace counters and the
 //! sweep's `SweepStats` counters) for perf trajectories and CI guards.
 
-use tricheck_core::{report, Sweep};
+use tricheck_core::{report, MatrixSpec, Sweep};
 use tricheck_litmus::{suite, LitmusTest, MemOrder, SlotKind};
 
 fn quick_suite() -> Vec<LitmusTest> {
@@ -61,7 +61,9 @@ fn main() {
         tests.len(),
         if quick { "quick" } else { "full" }
     );
-    let (results, mut trace) = tricheck_bench::timed_report(|| Sweep::new().run_riscv(&tests));
+    let (results, mut trace) = tricheck_bench::timed_report(|| {
+        Sweep::new().run_matrix(&tests, &MatrixSpec::Riscv.stacks())
+    });
     for (name, value) in results.stats().as_counters() {
         trace.set_counter(name, value);
     }

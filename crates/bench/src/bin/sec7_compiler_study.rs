@@ -3,18 +3,23 @@
 //! proven-correct) trailing-sync mappings, across the ARMv7
 //! microarchitectures, and report the bugs each mapping exhibits.
 //!
-//! Runs on the cached sweep engine ([`Sweep::run_power`]): each test is
+//! Runs on the cached sweep engine ([`Sweep::run_matrix`] over
+//! [`MatrixSpec::Power`]): each test is
 //! compiled once per mapping and each distinct Power program is
 //! enumerated once across all {mapping × model} cells — the printed
 //! cache statistics prove it. `tests/power_equivalence.rs` pins this
 //! sweep's counts to the naive per-cell recompute path.
 
 use tricheck_compiler::PowerSyncStyle;
-use tricheck_core::{report, StackKey, Sweep, SweepResults};
+use tricheck_core::{report, MatrixSpec, StackKey, Sweep, SweepResults};
 use tricheck_litmus::suite;
 
 fn style_bugs(results: &SweepResults, style: PowerSyncStyle, model: &str) -> usize {
-    results.bugs_for(StackKey::Power { style }, model)
+    let key = StackKey {
+        isa: "Power",
+        variant: style.label(),
+    };
+    results.bugs_for(key, model)
 }
 
 fn main() {
@@ -25,17 +30,17 @@ fn main() {
         tests.len()
     );
 
-    let (results, trace) = tricheck_bench::timed_report(|| sweep.run_power(&tests));
-    println!("{}", report::power_table(&results));
+    let study = MatrixSpec::Power;
+    let (results, trace) =
+        tricheck_bench::timed_report(|| sweep.run_matrix(&tests, &study.stacks()));
+    let title = study.title().expect("the §7 study renders as a table");
+    println!("{}", report::stack_table(&results, title));
 
     println!("counterexample families (C11-forbidden yet observable):");
     for row in results.rows().iter().filter(|r| r.bugs > 0) {
         println!(
             "  {} on {}: {}: {} variants",
-            row.key.variant_label(),
-            row.model,
-            row.family,
-            row.bugs
+            row.key.variant, row.model, row.family, row.bugs
         );
     }
     println!();

@@ -376,9 +376,12 @@ fn check_flags_apply(command: &str, opts: &Options) -> Result<(), String> {
         "compile" => &["--isa", "--spec"],
         "verify" | "diagnose" | "dot" | "file" => &["--model", "--isa", "--spec"],
         "lint" => &["--json", "--deny-warnings"],
+        // The catalog lists the built-in studies plus the files it is
+        // given; the flags that select or run a sweep do not apply.
+        "sweep" if opts.list_models => {
+            &["--list-models", "--stack", "--model", "--allow-lint-errors"]
+        }
         "sweep" => &[
-            "--isa",
-            "--spec",
             "--model",
             "--stack",
             "--threads",
@@ -386,7 +389,6 @@ fn check_flags_apply(command: &str, opts: &Options) -> Result<(), String> {
             "--outcomes",
             "--power",
             "--x86",
-            "--list-models",
             "--shards",
             "--cache-dir",
             "--metrics-json",
@@ -399,10 +401,21 @@ fn check_flags_apply(command: &str, opts: &Options) -> Result<(), String> {
         // An unknown command: let the dispatcher report it as such.
         _ => return Ok(()),
     };
+    let name = match command {
+        "sweep" if opts.list_models => "sweep --list-models",
+        _ => command,
+    };
     for flag in &opts.given {
         if !allowed.contains(flag) {
+            return Err(format!("'{flag}' does not apply to the '{name}' command"));
+        }
+    }
+    // A sweep loads at most one file; a second would silently replace
+    // the first.
+    for flag in ["--stack", "--model"] {
+        if command == "sweep" && opts.given.iter().filter(|f| **f == flag).count() > 1 {
             return Err(format!(
-                "'{flag}' does not apply to the '{command}' command"
+                "'{flag}' given more than once: a sweep loads one stack or model file"
             ));
         }
     }
@@ -630,15 +643,17 @@ fn run(args: &[String], out: &mut dyn Write) -> Result<u8, Failure> {
                         .into(),
                 );
             }
-            let mut registry = tricheck::core::StackRegistry::new();
             let mut lint_counters: Option<(u64, u64)> = None;
-            if let Some(path) = &opts.stack {
-                let loaded = registry
-                    .load(std::path::Path::new(path))
-                    .map_err(|e| e.to_string())?;
-                gate_lints(&loaded.origin, &loaded.lints, opts.allow_lint_errors)?;
-                lint_counters = Some((loaded.rules_checked as u64, loaded.lints.len() as u64));
-            }
+            let loaded = match &opts.stack {
+                Some(path) => {
+                    let loaded = tricheck::core::load_stack_file(std::path::Path::new(path))
+                        .map_err(|e| e.to_string())?;
+                    gate_lints(&loaded.origin, &loaded.lints, opts.allow_lint_errors)?;
+                    lint_counters = Some((loaded.rules_checked as u64, loaded.lints.len() as u64));
+                    Some(loaded)
+                }
+                None => None,
+            };
             let model_stacks = if opts.was_given("--model") {
                 let path = std::path::Path::new(&opts.model);
                 if !path.is_file() {
@@ -659,8 +674,8 @@ fn run(args: &[String], out: &mut dyn Write) -> Result<u8, Failure> {
                 None
             };
             if opts.list_models {
-                let mut extra: Vec<(String, &[tricheck::core::MatrixStack<'_>])> = Vec::new();
-                for loaded in registry.loaded() {
+                let mut extra: Vec<(String, &[MatrixStack<'_>])> = Vec::new();
+                if let Some(loaded) = &loaded {
                     let title = format!("{} (loaded from {})", loaded.name, loaded.origin);
                     extra.push((title, &loaded.stacks));
                 }
@@ -670,7 +685,7 @@ fn run(args: &[String], out: &mut dyn Write) -> Result<u8, Failure> {
                 write!(out, "{}", list_models(&extra))?;
                 return Ok(0);
             }
-            let custom = !registry.is_empty() || model_stacks.is_some();
+            let custom = loaded.is_some() || model_stacks.is_some();
             if custom && (opts.power || opts.x86) {
                 return Err(
                     "--power/--x86 select built-in matrices and cannot be combined \
@@ -678,7 +693,8 @@ fn run(args: &[String], out: &mut dyn Write) -> Result<u8, Failure> {
                         .into(),
                 );
             }
-            if custom && (opts.shards.is_some() || opts.cache_dir.is_some()) {
+            let sharded = opts.shards.is_some() || opts.cache_dir.is_some();
+            if custom && sharded {
                 return Err(
                     "--shards/--cache-dir cannot be combined with --stack or --model \
                      FILE: sharded sweeps only run the built-in matrices"
@@ -696,41 +712,80 @@ fn run(args: &[String], out: &mut dyn Write) -> Result<u8, Failure> {
             if opts.power && opts.x86 {
                 return Err("--power and --x86 are mutually exclusive".into());
             }
-            if opts.shards.is_some() || opts.cache_dir.is_some() {
-                return run_dist_sweep(&family, &tests, &opts, out);
-            }
-            let session = begin_sweep_trace(&opts);
-            let mut sweep_opts = SweepOptions::default();
-            if let Some(threads) = opts.threads {
-                sweep_opts.threads = threads;
-            }
-            if opts.outcomes {
-                sweep_opts.outcome_mode = OutcomeMode::FullOutcomes;
-            }
-            let sweep = Sweep::with_options(sweep_opts);
-            let results = if let Some(loaded) = registry.loaded().first() {
-                let results = sweep.run_matrix(&tests, &loaded.stacks);
-                print_report(out, || report::stack_table(&results, &loaded.title))?;
-                results
-            } else if let Some((_, stacks)) = &model_stacks {
-                let results = sweep.run_matrix(&tests, stacks);
-                print_report(out, || report::family_chart(&results, &family))?;
-                results
-            } else if opts.power {
-                let results = sweep.run_power(&tests);
-                print_report(out, || report::power_table(&results))?;
-                results
+            // The stacks and the renderer, resolved once: a stack file
+            // renders as a table under its title, a model file as Figure
+            // 15 charts, a built-in study as its own table or charts.
+            let spec = if opts.power {
+                MatrixSpec::Power
             } else if opts.x86 {
-                let results = sweep.run_x86(&tests);
-                print_report(out, || report::x86_table(&results))?;
-                results
+                MatrixSpec::X86
             } else {
-                let results = sweep.run_riscv(&tests);
-                print_report(out, || report::family_chart(&results, &family))?;
-                results
+                MatrixSpec::Riscv
             };
-            let report =
-                end_sweep_trace(session, &opts, results.stats(), None, None, lint_counters)?;
+            let (file_stacks, title) = match (loaded, model_stacks) {
+                (Some(loaded), _) => (Some(loaded.stacks), Some(loaded.title)),
+                (None, Some((_, stacks))) => (Some(stacks), None),
+                (None, None) => (None, spec.title().map(str::to_string)),
+            };
+            let outcome_mode = if opts.outcomes {
+                OutcomeMode::FullOutcomes
+            } else {
+                OutcomeMode::Target
+            };
+            // Only built-in studies shard: worker processes rebuild the
+            // stacks from the spec.
+            let cache_dir = opts
+                .cache_dir
+                .as_deref()
+                .map(validate_cache_dir)
+                .transpose()?;
+            let dist_opts = sharded.then(|| DistOptions {
+                shards: opts.shards.unwrap_or(1),
+                threads: opts.threads,
+                outcome_mode,
+                cache_dir,
+                // Spawned workers run their shard under a metrics session
+                // and ship the drained report back (protocol v4) so the
+                // merged metrics carry a per-worker breakdown.
+                collect_trace: wants_metrics(&opts),
+                ..DistOptions::default()
+            });
+            let session = begin_sweep_trace(&opts);
+            let dist = dist_opts
+                .map(|dist_opts| run_sharded(spec, &tests, &dist_opts))
+                .transpose()
+                .map_err(|e| e.to_string())?;
+            let in_process;
+            let results = match &dist {
+                Some(dist) => &dist.results,
+                None => {
+                    let sweep_opts = SweepOptions {
+                        outcome_mode,
+                        ..opts
+                            .threads
+                            .map_or_else(SweepOptions::default, SweepOptions::with_threads)
+                    };
+                    let stacks = file_stacks.unwrap_or_else(|| spec.stacks());
+                    in_process = Sweep::with_options(sweep_opts).run_matrix(&tests, &stacks);
+                    &in_process
+                }
+            };
+            print_report(out, || match &title {
+                Some(title) => report::stack_table(results, title),
+                None => report::family_chart(results, &family),
+            })?;
+            let store_stats = dist
+                .as_ref()
+                .filter(|_| opts.cache_dir.is_some())
+                .map(DistResults::store_stats);
+            let report = end_sweep_trace(
+                session,
+                &opts,
+                results.stats(),
+                store_stats.as_ref(),
+                dist.as_ref(),
+                lint_counters,
+            )?;
             if opts.cache_stats {
                 print_engine_stats(out, &report)?;
             }
@@ -744,66 +799,6 @@ fn run(args: &[String], out: &mut dyn Write) -> Result<u8, Failure> {
             .map_err(Failure::Error),
         other => Err(format!("unknown command '{other}'").into()),
     }
-}
-
-/// The sharded / persistent sweep path (`--shards` or `--cache-dir`).
-fn run_dist_sweep(
-    family: &str,
-    tests: &[LitmusTest],
-    opts: &Options,
-    out: &mut dyn Write,
-) -> Result<u8, Failure> {
-    let cache_dir = opts
-        .cache_dir
-        .as_deref()
-        .map(validate_cache_dir)
-        .transpose()?;
-    let dist_opts = DistOptions {
-        shards: opts.shards.unwrap_or(1),
-        threads: opts.threads,
-        outcome_mode: if opts.outcomes {
-            OutcomeMode::FullOutcomes
-        } else {
-            OutcomeMode::Target
-        },
-        cache_dir,
-        // Spawned workers run their shard under a metrics session and
-        // ship the drained report back (protocol v4) so the merged
-        // metrics carry a per-worker breakdown.
-        collect_trace: wants_metrics(opts),
-        ..DistOptions::default()
-    };
-    let session = begin_sweep_trace(opts);
-    let spec = if opts.power {
-        MatrixSpec::Power
-    } else if opts.x86 {
-        MatrixSpec::X86
-    } else {
-        MatrixSpec::Riscv
-    };
-    let dist = run_sharded(spec, tests, &dist_opts).map_err(|e| e.to_string())?;
-    if opts.power {
-        print_report(out, || report::power_table(&dist.results))?;
-    } else if opts.x86 {
-        print_report(out, || report::x86_table(&dist.results))?;
-    } else {
-        print_report(out, || report::family_chart(&dist.results, family))?;
-    }
-    let store_stats = dist.store_stats();
-    let trace_report = end_sweep_trace(
-        session,
-        opts,
-        dist.results.stats(),
-        opts.cache_dir.is_some().then_some(&store_stats),
-        Some(&dist),
-        // Sharded sweeps only run the built-in matrices, which are
-        // lint-clean by construction (tests/lint.rs pins it).
-        None,
-    )?;
-    if opts.cache_stats {
-        print_engine_stats(out, &trace_report)?;
-    }
-    Ok(0)
 }
 
 /// Prints a `--model`/`--stack` file's lint findings to stderr and
@@ -1015,15 +1010,15 @@ fn end_sweep_trace(
 /// each with its ISA column, mapping, µarch model, and the model's IR
 /// axiom names — so data-defined models added to any matrix (or loaded
 /// from a stack file) are discoverable without reading source.
-fn list_models(extra: &[(String, &[tricheck::core::MatrixStack<'_>])]) -> String {
+fn list_models(extra: &[(String, &[MatrixStack<'_>])]) -> String {
     let mut out = String::new();
-    let matrices: [(&str, Vec<tricheck::core::MatrixStack<'static>>); 3] = [
-        ("riscv (Figure 15)", tricheck::core::riscv_stacks()),
-        ("power (§7 study, --power)", tricheck::core::power_stacks()),
-        ("x86 (TSO study, --x86)", tricheck::core::x86_stacks()),
+    let builtins = [
+        ("riscv (Figure 15)", MatrixSpec::Riscv),
+        ("power (§7 study, --power)", MatrixSpec::Power),
+        ("x86 (TSO study, --x86)", MatrixSpec::X86),
     ];
-    for (title, stacks) in &matrices {
-        render_stack_section(&mut out, title, stacks);
+    for (title, spec) in builtins {
+        render_stack_section(&mut out, title, &spec.stacks());
     }
     for (title, stacks) in extra {
         render_stack_section(&mut out, title, stacks);
@@ -1032,7 +1027,7 @@ fn list_models(extra: &[(String, &[tricheck::core::MatrixStack<'_>])]) -> String
 }
 
 /// One `== title ==` section of the `--list-models` catalog.
-fn render_stack_section(out: &mut String, title: &str, stacks: &[tricheck::core::MatrixStack<'_>]) {
+fn render_stack_section(out: &mut String, title: &str, stacks: &[MatrixStack<'_>]) {
     use std::fmt::Write as _;
     let _ = writeln!(out, "== {title} ==");
     let _ = writeln!(
@@ -1045,8 +1040,8 @@ fn render_stack_section(out: &mut String, title: &str, stacks: &[tricheck::core:
         let _ = writeln!(
             out,
             "{:<8} {:<14} {:<24} {:<22} {}",
-            stack.key.isa_label(),
-            stack.key.variant_label(),
+            stack.key.isa,
+            stack.key.variant,
             stack.mapping.name(),
             stack.model.name(),
             axioms.join(", ")
@@ -1314,6 +1309,10 @@ mod tests {
             (vec!["dot", "x", "--list-models"], "--list-models"),
             (vec!["file", "x", "--cache-dir", "/tmp/x"], "--cache-dir"),
             (vec!["verify", "x", "--stack", STACK_FILE], "--stack"),
+            // A sweep picks its stacks with --power/--x86/--stack/--model;
+            // the single-test ISA and spec flags would be ignored.
+            (vec!["sweep", "sb", "--isa", "base+a"], "--isa"),
+            (vec!["sweep", "sb", "--spec", "ours"], "--spec"),
         ] {
             let err = run(&strings(&args)).unwrap_err();
             assert!(
@@ -1323,6 +1322,64 @@ mod tests {
         }
         // The flags still work where they do apply.
         assert!(run(&strings(&["compile", "sb+sc+sc+sc+sc", "--isa", "base+a"])).is_ok());
+    }
+
+    #[test]
+    fn sweep_rejects_a_repeated_stack_file() {
+        let lint_fixture = concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/../../tests/fixtures/lint/w004.stack"
+        );
+        let args = [
+            "sweep",
+            "sb",
+            "--stack",
+            STACK_FILE,
+            "--stack",
+            lint_fixture,
+        ];
+        let err = run(&strings(&args)).unwrap_err();
+        assert!(err.contains("'--stack' given more than once"), "{err}");
+    }
+
+    #[test]
+    fn sweep_rejects_a_repeated_model_file() {
+        let args = ["sweep", "sb", "--model", MODEL_FILE, "--model", MODEL_FILE];
+        let err = run(&strings(&args)).unwrap_err();
+        assert!(err.contains("'--model' given more than once"), "{err}");
+    }
+
+    #[test]
+    fn list_models_rejects_the_flags_that_select_or_run_a_sweep() {
+        for flag in [
+            &["--power"][..],
+            &["--x86"],
+            &["--outcomes"],
+            &["--threads", "2"],
+            &["--shards", "2"],
+            &["--cache-dir", "/tmp/x"],
+            &["--cache-stats"],
+            &["--metrics-json", "/tmp/x.json"],
+            &["--progress"],
+            &["--trace", "/tmp/x.json"],
+        ] {
+            let args: Vec<&str> = ["sweep", "--list-models"]
+                .iter()
+                .chain(flag)
+                .copied()
+                .collect();
+            let err = run(&strings(&args)).unwrap_err();
+            assert!(
+                err.contains(&format!(
+                    "'{}' does not apply to the 'sweep --list-models' command",
+                    flag[0]
+                )),
+                "{args:?}: {err}"
+            );
+        }
+        // The files it catalogs still apply.
+        let args = ["sweep", "--list-models", "--model", MODEL_FILE];
+        assert_eq!(run(&strings(&args)), Ok(0));
     }
 
     #[test]

@@ -18,7 +18,7 @@
 //! | `x86-relaxed` | unfenced x86 strawman (exposes SC store buffering) | `models/x86-tso.stack` |
 //!
 //! The x86 mappings are loaded with the rest of their stack file by
-//! `tricheck_core::x86_stacks`.
+//! `tricheck_core::MatrixSpec::X86`.
 //!
 //! [`compile`] applies a mapping to a whole litmus test, preserving the
 //! observable registers so language-level and ISA-level outcomes can be

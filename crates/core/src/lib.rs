@@ -24,13 +24,12 @@
 //! enumeration once per distinct compiled program, with a work-stealing
 //! scheduler fanning (test × mapping group) items over the shared caches.
 //! [`SweepResults::stats`] exposes the counters that prove it.
-//! [`Sweep::run_matrix`](runner::Sweep::run_matrix) is the generic
-//! engine — it takes any list of [`MatrixStack`]s keyed by [`StackKey`];
-//! [`Sweep::run_riscv`](runner::Sweep::run_riscv) (Figure 15) and
-//! [`Sweep::run_power`](runner::Sweep::run_power) (the §7 compiler
-//! study) are thin instantiations. [`OutcomeMode::FullOutcomes`]
-//! upgrades any sweep to the stronger full-outcome-set equivalence at
-//! witness-mode cost.
+//! A sweep is a list of [`MatrixStack`]s keyed by [`StackKey`], run by
+//! [`Sweep::run_matrix`](runner::Sweep::run_matrix); [`MatrixSpec`]
+//! names the built-in lists (Figure 15, the §7 compiler study, the x86
+//! study) and [`registry`] loads more from files.
+//! [`OutcomeMode::FullOutcomes`] upgrades any sweep to the stronger
+//! full-outcome-set equivalence at witness-mode cost.
 //!
 //! # Examples
 //!
@@ -71,12 +70,11 @@ pub mod verdict;
 pub use explain::{diagnose, Diagnosis};
 pub use registry::{
     lint_path, load_model_file, load_model_file_linted, load_stack_file, parse_stack_file,
-    stacks_for_model, LoadedStack, StackFileError, StackRegistry,
+    stacks_for_model, LoadedStack, StackFileError,
 };
 pub use runner::{
-    power_stacks, results_from_items, riscv_stacks, x86_stacks, MatrixItems, MatrixStack,
-    OutcomeMode, SpaceSharing, StackKey, Sweep, SweepOptions, SweepResults, SweepRow, SweepStats,
-    SHARING_BREAK_EVEN,
+    results_from_items, MatrixItems, MatrixSpec, MatrixStack, OutcomeMode, SpaceSharing, StackKey,
+    Sweep, SweepOptions, SweepResults, SweepRow, SweepStats, SHARING_BREAK_EVEN,
 };
 pub use store::{C11Cached, SpaceStore, StoreStats};
 pub use verdict::{Classification, FullComparison, TestResult};

@@ -1,5 +1,5 @@
-//! Runtime stack registry: load whole (mapping × µarch model) stacks
-//! from definition files and sweep them like built-ins.
+//! Stack definition files: load whole (mapping × µarch model) stacks
+//! at runtime and sweep them like built-ins.
 //!
 //! A *stack file* packages everything `Sweep::run_matrix` needs for a
 //! matrix column that never appears in Rust source:
@@ -126,43 +126,6 @@ impl fmt::Debug for LoadedStack {
     }
 }
 
-/// Registered runtime-loaded stacks for one invocation.
-#[derive(Default)]
-pub struct StackRegistry {
-    loaded: Vec<LoadedStack>,
-}
-
-impl StackRegistry {
-    /// An empty registry.
-    #[must_use]
-    pub fn new() -> Self {
-        StackRegistry::default()
-    }
-
-    /// Loads a stack file and registers it.
-    ///
-    /// # Errors
-    ///
-    /// A [`StackFileError`] naming the file and line on parse or I/O
-    /// failure.
-    pub fn load(&mut self, path: &Path) -> Result<&LoadedStack, StackFileError> {
-        self.loaded.push(load_stack_file(path)?);
-        Ok(self.loaded.last().expect("just pushed"))
-    }
-
-    /// The stacks loaded so far, in load order.
-    #[must_use]
-    pub fn loaded(&self) -> &[LoadedStack] {
-        &self.loaded
-    }
-
-    /// `true` if nothing has been loaded.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.loaded.is_empty()
-    }
-}
-
 /// Loads and parses one stack definition file.
 ///
 /// # Errors
@@ -249,7 +212,7 @@ pub fn stacks_for_model(ir: &ModelIr) -> Vec<MatrixStack<'static>> {
     for isa in [RiscvIsa::Base, RiscvIsa::BaseA] {
         for version in [SpecVersion::Curr, SpecVersion::Ours] {
             stacks.push(MatrixStack {
-                key: StackKey::Riscv { isa, version },
+                key: StackKey::riscv(isa, version),
                 mapping: riscv_mapping(isa, version),
                 model: UarchModel::from_ir(ir.clone()),
             });
@@ -459,7 +422,7 @@ pub(crate) fn parse_stack(
             );
         }
         stacks.push(MatrixStack {
-            key: StackKey::Custom {
+            key: StackKey {
                 isa: intern(&isa),
                 variant: intern(&section.label),
             },
@@ -589,13 +552,11 @@ model x86-TSO-toy
         assert_eq!(loaded.stacks[1].mapping.name(), "toy-x86-weak");
         assert_eq!(
             loaded.stacks[0].key,
-            StackKey::Custom {
+            StackKey {
                 isa: "x86",
                 variant: "strong",
             }
         );
-        assert_eq!(loaded.stacks[0].key.isa_label(), "x86");
-        assert_eq!(loaded.stacks[0].key.variant_label(), "strong");
         assert_eq!(loaded.stacks[0].model.name(), "x86-TSO-toy");
     }
 
@@ -607,13 +568,13 @@ model x86-TSO-toy
         let strong: usize = results
             .rows()
             .iter()
-            .filter(|r| r.key.variant_label() == "strong")
+            .filter(|r| r.key.variant == "strong")
             .map(|r| r.bugs)
             .sum();
         let weak: usize = results
             .rows()
             .iter()
-            .filter(|r| r.key.variant_label() == "weak")
+            .filter(|r| r.key.variant == "weak")
             .map(|r| r.bugs)
             .sum();
         // The fenced mapping forbids SC store buffering; the unfenced
@@ -628,9 +589,7 @@ model x86-TSO-toy
         let ir = loaded.stacks[0].model.ir().clone();
         let stacks = stacks_for_model(&ir);
         assert_eq!(stacks.len(), 4);
-        assert!(stacks
-            .iter()
-            .all(|s| matches!(s.key, StackKey::Riscv { .. })));
+        assert!(stacks.iter().all(|s| s.key.variant.starts_with("riscv-")));
         assert!(stacks.iter().all(|s| s.model.name() == "x86-TSO-toy"));
     }
 

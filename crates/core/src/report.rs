@@ -1,5 +1,5 @@
 //! Text rendering of sweep results in the shape of the paper's Figure 15
-//! and §6 tables.
+//! and §6 tables, and of the mapping-study tables.
 
 use std::fmt::Write as _;
 
@@ -23,8 +23,8 @@ pub fn family_chart(results: &SweepResults, family: &str) -> String {
         let _ = writeln!(
             out,
             "{:<8} {:<12} {:<8} {:>6} {:>14} {:>11} {:>7}",
-            row.key.isa_label(),
-            row.key.variant_label(),
+            row.key.isa,
+            row.key.variant,
             row.model.split('/').next().unwrap_or(&row.model),
             row.bugs,
             row.overly_strict,
@@ -52,7 +52,7 @@ pub fn aggregate_chart(results: &SweepResults, families: &[&str]) -> String {
     for &family in families {
         for isa in [RiscvIsa::Base, RiscvIsa::BaseA] {
             for version in [SpecVersion::Curr, SpecVersion::Ours] {
-                let key = StackKey::Riscv { isa, version };
+                let key = StackKey::riscv(isa, version);
                 let rows: Vec<&SweepRow> = results
                     .rows()
                     .iter()
@@ -78,12 +78,7 @@ pub fn aggregate_chart(results: &SweepResults, families: &[&str]) -> String {
                 let _ = writeln!(
                     out,
                     "{:<10} {:<8} {:<12} {:>7.1}% {:>13.1}% {:>11.1}%",
-                    family,
-                    isa.to_string(),
-                    version.to_string(),
-                    bugs_pct,
-                    strict_pct,
-                    equiv_pct
+                    family, key.isa, key.variant, bugs_pct, strict_pct, equiv_pct
                 );
             }
         }
@@ -111,7 +106,7 @@ pub fn headline_table(results: &SweepResults) -> String {
     );
     for isa in [RiscvIsa::Base, RiscvIsa::BaseA] {
         for version in [SpecVersion::Curr, SpecVersion::Ours] {
-            let key = StackKey::Riscv { isa, version };
+            let key = StackKey::riscv(isa, version);
             let counts: Vec<String> = models
                 .iter()
                 .map(|m| format!("{:>7}", results.bugs_for(key, m)))
@@ -119,8 +114,8 @@ pub fn headline_table(results: &SweepResults) -> String {
             let _ = writeln!(
                 out,
                 "{:<8} {:<12} {}",
-                isa.to_string(),
-                version.to_string(),
+                key.isa,
+                key.variant,
                 counts.join(" ")
             );
         }
@@ -128,33 +123,14 @@ pub fn headline_table(results: &SweepResults) -> String {
     out
 }
 
-/// Renders the §7 compiler-study table: per (sync style, ARMv7 model)
-/// cell, the total Bug / Overly Strict / Equivalent counts across the
-/// whole suite, in matrix order.
-#[must_use]
-pub fn power_table(results: &SweepResults) -> String {
-    mapping_study_table(results, "§7 compiler study: C11 → Power mappings on ARMv7")
-}
-
-/// Renders the x86 mapping-study table: per (mapping style, TSO) cell,
-/// the total counts across the suite.
-#[must_use]
-pub fn x86_table(results: &SweepResults) -> String {
-    mapping_study_table(results, "x86 mapping study: C11 → x86 mappings on TSO")
-}
-
-/// Renders a mapping-study table for a runtime-loaded stack under its
-/// file-declared title — the same renderer as [`power_table`] /
-/// [`x86_table`], so a loaded stack that replicates a built-in one
-/// produces byte-identical output.
+/// Renders a mapping-study table under `title`: one row per (stack
+/// key, model) pair with its Bug / Overly Strict / Equivalent counts
+/// summed over families, in matrix order. The §7 Power and x86 studies
+/// ([`MatrixSpec::title`](crate::MatrixSpec::title)) and stack files
+/// (their `title` line) all render through it, so a stack file that
+/// replicates a built-in study produces byte-identical output.
 #[must_use]
 pub fn stack_table(results: &SweepResults, title: &str) -> String {
-    mapping_study_table(results, title)
-}
-
-/// Shared renderer of the compiler-mapping study tables: one row per
-/// (stack key, model) pair, aggregated over families in matrix order.
-fn mapping_study_table(results: &SweepResults, title: &str) -> String {
     let mut out = String::new();
     let _ = writeln!(out, "== {title} ==");
     let _ = writeln!(
@@ -185,7 +161,7 @@ fn mapping_study_table(results: &SweepResults, title: &str) -> String {
         let _ = writeln!(
             out,
             "{:<15} {:<22} {:>6} {:>14} {:>11} {:>7}",
-            key.variant_label(),
+            key.variant,
             model,
             bugs,
             strict,
@@ -205,8 +181,8 @@ pub fn to_csv(results: &SweepResults) -> String {
         let _ = writeln!(
             out,
             "{},{},{},{},{},{},{},{}",
-            row.key.isa_label(),
-            row.key.variant_label(),
+            row.key.isa,
+            row.key.variant,
             row.model.split('/').next().unwrap_or(&row.model),
             row.family,
             row.bugs,
@@ -221,7 +197,7 @@ pub fn to_csv(results: &SweepResults) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runner::Sweep;
+    use crate::runner::{MatrixSpec, Sweep};
     use tricheck_litmus::suite;
 
     fn small_results() -> SweepResults {
@@ -230,7 +206,7 @@ mod tests {
             suite::mp([tricheck_litmus::MemOrder::Rlx; 4]),
             suite::sb([tricheck_litmus::MemOrder::Sc; 4]),
         ];
-        Sweep::new().run_riscv(&tests)
+        Sweep::new().run_matrix(&tests, &MatrixSpec::Riscv.stacks())
     }
 
     #[test]
@@ -268,12 +244,14 @@ mod tests {
     }
 
     #[test]
-    fn power_table_lists_every_study_cell() {
+    fn stack_table_lists_every_study_cell() {
         let tests = vec![
             suite::mp([tricheck_litmus::MemOrder::Rlx; 4]),
             suite::sb([tricheck_litmus::MemOrder::Sc; 4]),
         ];
-        let table = power_table(&Sweep::new().run_power(&tests));
+        let power = MatrixSpec::Power;
+        let results = Sweep::new().run_matrix(&tests, &power.stacks());
+        let table = stack_table(&results, power.title().expect("a study title"));
         // 2 sync styles × 2 ARMv7 models + 2 header lines.
         assert_eq!(table.lines().count(), 2 + 4);
         assert!(table.contains("leading-sync"));

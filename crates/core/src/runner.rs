@@ -5,15 +5,22 @@
 //! # Architecture
 //!
 //! A sweep evaluates every litmus test against a *matrix* of full-stack
-//! model cells. [`Sweep::run_matrix`] is the generic engine: it takes an
-//! arbitrary list of [`MatrixStack`]s — each a row key, a compiler
-//! mapping, and a µarch model — and schedules (test × mapping group)
-//! items over shared caches. The paper's two studies are thin instantiations:
+//! model cells, and a matrix is nothing but a list of [`MatrixStack`]s —
+//! each a row key, a compiler mapping, and a µarch model.
+//! [`Sweep::run_matrix`] is the one engine entry point: it schedules
+//! (test × mapping group) items over shared caches. The paper's studies
+//! differ only in which stacks they list; [`MatrixSpec`] names the three
+//! built-in lists:
 //!
-//! - [`Sweep::run_riscv`] — Figure 15's 28 cells (2 RISC-V ISAs × 2 spec
+//! - [`MatrixSpec::Riscv`] — Figure 15's 28 cells (2 RISC-V ISAs × 2 spec
 //!   versions × 7 µarch models, with the matching Table 2/3 mapping);
-//! - [`Sweep::run_power`] — the §7 compiler study's cells
-//!   ({leading-sync, trailing-sync} × the ARMv7 models).
+//! - [`MatrixSpec::Power`] — the §7 compiler study's cells
+//!   ({leading-sync, trailing-sync} × the ARMv7 models);
+//! - [`MatrixSpec::X86`] — the x86 mapping study, the committed
+//!   `models/x86-tso.stack` ({sc-atomics, relaxed} × TSO).
+//!
+//! Stacks loaded from definition files ([`crate::registry`]) sweep
+//! through the same entry point.
 //!
 //! Three phases of the work depend on strictly less than the full
 //! (test, cell) pair, so they are shared through a [`SweepCache`]-style
@@ -66,10 +73,10 @@
 //! [`SweepResults::stats`] exposes the cache counters; the engine
 //! equivalence tests assert `compile_calls == tests × mappings` and
 //! `space_enumerations == distinct_programs` — i.e. nothing is ever
-//! compiled or enumerated twice. [`Sweep::run_riscv_naive`] and
-//! [`Sweep::run_power_naive`] keep the pre-engine per-cell recompute path
-//! alive as the differential oracle (and the baselines of
-//! `benches/pipeline.rs` and `benches/power_sweep.rs`).
+//! compiled or enumerated twice. [`Sweep::run_matrix_naive`] keeps the
+//! pre-engine per-cell recompute path alive as the differential oracle
+//! (and the baseline of `benches/pipeline.rs` and
+//! `benches/power_sweep.rs`).
 //!
 //! Two extensions widen the engine beyond one process lifetime:
 //!
@@ -102,6 +109,7 @@ use tricheck_compiler::{
 };
 use tricheck_isa::{HwAnnot, RiscvIsa, SpecVersion};
 use tricheck_litmus::{ExecutionSpace, LitmusTest, Outcome};
+use tricheck_rel::parse::intern;
 use tricheck_rel::CompiledModel;
 use tricheck_uarch::{FusedJudge, JudgeWork, UarchModel};
 
@@ -227,73 +235,28 @@ impl std::fmt::Debug for SweepOptions {
     }
 }
 
-/// The ISA-level identity of one column of a sweep matrix — what
-/// distinguishes two stacks besides their µarch model.
-///
-/// RISC-V stacks are keyed by (ISA, spec version) — the pair picks the
-/// Table 2/3 mapping; Power stacks are keyed by the §7 sync placement
-/// style. This is the generalized row key that lets
-/// [`SweepResults`] hold Figure 15 and compiler-study rows without
-/// tagging Power cells with a fake RISC-V ISA.
+/// The row key of one column of a sweep matrix — what distinguishes
+/// two stacks besides their µarch model: an ISA label and a variant
+/// label. A Figure 15 column is `Base`/`riscv-curr`, a §7 one
+/// `Power`/`leading-sync`, a stack file's column its `isa` line and
+/// `mapping` section label. The labels are `&'static str` (interned for
+/// runtime-loaded stacks) so the key stays `Copy`.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
-pub enum StackKey {
-    /// A RISC-V stack of the Figure 15 sweep.
-    Riscv {
-        /// RISC-V ISA (Base or Base+A).
-        isa: RiscvIsa,
-        /// Specification version (`riscv-curr` or `riscv-ours`).
-        version: SpecVersion,
-    },
-    /// A Power/ARMv7 stack of the §7 compiler study.
-    Power {
-        /// The C11 → Power sync placement style.
-        style: PowerSyncStyle,
-    },
-    /// A stack loaded from a definition file: a `--stack` file, or the
-    /// built-in x86 study's `models/x86-tso.stack` (ISA `x86`, variants
-    /// `sc-atomics` and `relaxed`). The labels are interned so the key
-    /// stays `Copy` like the built-ins.
-    Custom {
-        /// The ISA column label from the file's `isa` line.
-        isa: &'static str,
-        /// The variant label: the file's `mapping` section label.
-        variant: &'static str,
-    },
+pub struct StackKey {
+    /// The ISA column label (`"Base"`, `"Base+A"`, `"Power"`, `"x86"`).
+    pub isa: &'static str,
+    /// The variant column label (`"riscv-curr"`, `"riscv-ours"`,
+    /// `"leading-sync"`, `"trailing-sync"`, a stack file's mapping label).
+    pub variant: &'static str,
 }
 
 impl StackKey {
-    /// The ISA column label (`"Base"`, `"Base+A"`, `"Power"`).
-    #[must_use]
-    pub fn isa_label(&self) -> &'static str {
-        match self {
-            StackKey::Riscv {
-                isa: RiscvIsa::Base,
-                ..
-            } => "Base",
-            StackKey::Riscv {
-                isa: RiscvIsa::BaseA,
-                ..
-            } => "Base+A",
-            StackKey::Power { .. } => "Power",
-            StackKey::Custom { isa, .. } => isa,
-        }
-    }
-
-    /// The variant column label (`"riscv-curr"`, `"riscv-ours"`,
-    /// `"leading-sync"`, `"trailing-sync"`).
-    #[must_use]
-    pub fn variant_label(&self) -> &'static str {
-        match self {
-            StackKey::Riscv {
-                version: SpecVersion::Curr,
-                ..
-            } => "riscv-curr",
-            StackKey::Riscv {
-                version: SpecVersion::Ours,
-                ..
-            } => "riscv-ours",
-            StackKey::Power { style } => style.label(),
-            StackKey::Custom { variant, .. } => variant,
+    /// The Figure 15 column of one (RISC-V ISA, spec version) pair,
+    /// labelled by their `Display` forms.
+    pub(crate) fn riscv(isa: RiscvIsa, version: SpecVersion) -> Self {
+        StackKey {
+            isa: intern(&isa.to_string()),
+            variant: intern(&version.to_string()),
         }
     }
 }
@@ -1064,7 +1027,7 @@ impl Sweep {
             .collect();
         let (results, stats) = self.run_cells(tests, &cells, mappings.len(), |s| {
             let key = stacks[s].key;
-            format!("{}/{}", key.isa_label(), key.variant_label())
+            format!("{}/{}", key.isa, key.variant)
         });
         // Reducing 20k+ results to bare classifications drops every
         // per-item `TestResult` (and its heap data) in one pass —
@@ -1105,53 +1068,14 @@ impl Sweep {
         }
     }
 
-    /// The paper's full Figure 15 sweep: every Table 7 model × {Base,
-    /// Base+A} × {riscv-curr, riscv-ours}, with the matching compiler
-    /// mapping, via [`Sweep::run_matrix`].
-    #[must_use]
-    pub fn run_riscv(&self, tests: &[LitmusTest]) -> SweepResults {
-        self.run_matrix(tests, &riscv_stacks())
-    }
-
-    /// The pre-engine Figure 15 sweep: identical cells to
-    /// [`Sweep::run_riscv`] on the per-cell recompute path.
+    /// [`Sweep::run_matrix_naive`] over [`MatrixSpec::Riscv`]'s stacks:
+    /// the pre-engine Figure 15 sweep. Kept under this name because the
+    /// benchmark's reference test (`perfbench/tests/reference.rs`) calls
+    /// it; other callers pass a [`MatrixSpec`]'s stacks to
+    /// [`Sweep::run_matrix_naive`].
     #[must_use]
     pub fn run_riscv_naive(&self, tests: &[LitmusTest]) -> SweepResults {
-        self.run_matrix_naive(tests, &riscv_stacks())
-    }
-
-    /// The §7 compiler study as a cached sweep: {leading-sync,
-    /// trailing-sync} C11 → Power mappings × the ARMv7 models, via
-    /// [`Sweep::run_matrix`] — with the same exactly-once guarantees as
-    /// the RISC-V sweep (each distinct Power program is enumerated once
-    /// across all mapping × model cells).
-    #[must_use]
-    pub fn run_power(&self, tests: &[LitmusTest]) -> SweepResults {
-        self.run_matrix(tests, &power_stacks())
-    }
-
-    /// The §7 compiler study on the per-cell recompute path — the
-    /// differential oracle for [`Sweep::run_power`].
-    #[must_use]
-    pub fn run_power_naive(&self, tests: &[LitmusTest]) -> SweepResults {
-        self.run_matrix_naive(tests, &power_stacks())
-    }
-
-    /// The x86 mapping study as a cached sweep: {sc-atomics, relaxed}
-    /// C11 → x86 mappings × the TSO model, via [`Sweep::run_matrix`].
-    /// The third thin instantiation of the generic engine — and the one
-    /// built entirely from data: its stacks are [`x86_stacks`], loaded
-    /// from `models/x86-tso.stack`.
-    #[must_use]
-    pub fn run_x86(&self, tests: &[LitmusTest]) -> SweepResults {
-        self.run_matrix(tests, &x86_stacks())
-    }
-
-    /// The x86 study on the per-cell recompute path — the differential
-    /// oracle for [`Sweep::run_x86`].
-    #[must_use]
-    pub fn run_x86_naive(&self, tests: &[LitmusTest]) -> SweepResults {
-        self.run_matrix_naive(tests, &x86_stacks())
+        self.run_matrix_naive(tests, &MatrixSpec::Riscv.stacks())
     }
 
     /// Processes every (test × mapping group) item over the shared caches
@@ -1309,69 +1233,98 @@ impl Sweep {
     }
 }
 
-/// The 28 Figure 15 stacks in presentation order: every Table 7 model ×
-/// {Base, Base+A} × {riscv-curr, riscv-ours} with the matching Table 2/3
-/// mapping. Public so out-of-process drivers (the `tricheck-dist` shard
-/// workers) can reconstruct the exact matrix [`Sweep::run_riscv`] runs.
-#[must_use]
-pub fn riscv_stacks() -> Vec<MatrixStack<'static>> {
-    let mut stacks = Vec::new();
-    for isa in [RiscvIsa::Base, RiscvIsa::BaseA] {
-        for version in [SpecVersion::Curr, SpecVersion::Ours] {
-            let mapping = riscv_mapping(isa, version);
-            for model in UarchModel::all_riscv(version) {
-                stacks.push(MatrixStack {
-                    key: StackKey::Riscv { isa, version },
-                    mapping,
-                    model,
-                });
+/// A built-in study: one of the three stack lists the tool ships. A
+/// sweep is just a list of [`MatrixStack`]s; this names the built-in
+/// ones, so a process that shares no memory with its caller (a shard
+/// worker) can rebuild the exact matrix.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum MatrixSpec {
+    /// Figure 15: every Table 7 model × {Base, Base+A} × {riscv-curr,
+    /// riscv-ours}, with the matching Table 2/3 mapping (28 stacks).
+    Riscv,
+    /// The §7 compiler study: {leading-sync, trailing-sync} C11 → Power
+    /// mappings × the ARMv7 models (4 stacks).
+    Power,
+    /// The x86 mapping study: the committed `models/x86-tso.stack`,
+    /// {sc-atomics, relaxed} C11 → x86 mappings × its TSO model (2
+    /// stacks).
+    X86,
+}
+
+impl MatrixSpec {
+    /// The study's stacks, in presentation order (file order for x86).
+    /// Every call returns the same mapping references (sweeps group
+    /// stacks by mapping identity) and fresh, uncompiled models.
+    #[must_use]
+    pub fn stacks(self) -> Vec<MatrixStack<'static>> {
+        let mut stacks = Vec::new();
+        match self {
+            MatrixSpec::Riscv => {
+                for isa in [RiscvIsa::Base, RiscvIsa::BaseA] {
+                    for version in [SpecVersion::Curr, SpecVersion::Ours] {
+                        let key = StackKey::riscv(isa, version);
+                        let mapping = riscv_mapping(isa, version);
+                        for model in UarchModel::all_riscv(version) {
+                            stacks.push(MatrixStack {
+                                key,
+                                mapping,
+                                model,
+                            });
+                        }
+                    }
+                }
+            }
+            MatrixSpec::Power => {
+                for style in PowerSyncStyle::ALL {
+                    let key = StackKey {
+                        isa: "Power",
+                        variant: style.label(),
+                    };
+                    for model in UarchModel::all_armv7() {
+                        stacks.push(MatrixStack {
+                            key,
+                            mapping: power_mapping(style),
+                            model,
+                        });
+                    }
+                }
+            }
+            MatrixSpec::X86 => {
+                for stack in &x86_tso().stacks {
+                    stacks.push(MatrixStack {
+                        key: stack.key,
+                        mapping: stack.mapping,
+                        model: stack.model.clone(),
+                    });
+                }
             }
         }
+        stacks
     }
-    stacks
-}
 
-/// The §7 compiler-study stacks: both sync placement styles × the ARMv7
-/// models, in presentation order. Public for the same reason as
-/// [`riscv_stacks`].
-#[must_use]
-pub fn power_stacks() -> Vec<MatrixStack<'static>> {
-    let mut stacks = Vec::new();
-    for style in PowerSyncStyle::ALL {
-        let mapping = power_mapping(style);
-        for model in UarchModel::all_armv7() {
-            stacks.push(MatrixStack {
-                key: StackKey::Power { style },
-                mapping,
-                model,
-            });
+    /// The title of the study's mapping-study table
+    /// ([`report::stack_table`](crate::report::stack_table)), or `None`
+    /// for Figure 15, which renders one chart per litmus family. The x86
+    /// title is the stack file's `title` line.
+    #[must_use]
+    pub fn title(self) -> Option<&'static str> {
+        match self {
+            MatrixSpec::Riscv => None,
+            MatrixSpec::Power => Some("§7 compiler study: C11 → Power mappings on ARMv7"),
+            MatrixSpec::X86 => Some(x86_tso().title.as_str()),
         }
     }
-    stacks
 }
 
-/// The x86-study stacks: both mappings of the committed
-/// `models/x86-tso.stack` × its TSO model, in file order. The file is
-/// the built-in study: it is embedded at build time and parsed once per
-/// process, so every call returns the same mapping references (sweeps
-/// group stacks by mapping identity) and a fresh, uncompiled model.
-/// Public for the same reason as [`riscv_stacks`].
-#[must_use]
-pub fn x86_stacks() -> Vec<MatrixStack<'static>> {
+/// The x86 study's stack file, embedded at build time and parsed once
+/// per process.
+fn x86_tso() -> &'static LoadedStack {
     static X86_TSO: LazyLock<LoadedStack> = LazyLock::new(|| {
         let src = include_str!("../../../models/x86-tso.stack");
         parse_stack(src, "models/x86-tso.stack", false)
             .unwrap_or_else(|e| panic!("the committed x86 stack file must parse: {e}"))
     });
-    X86_TSO
-        .stacks
-        .iter()
-        .map(|stack| MatrixStack {
-            key: stack.key,
-            mapping: stack.mapping,
-            model: stack.model.clone(),
-        })
-        .collect()
+    &X86_TSO
 }
 
 /// One worker's slice of the item range, drained from the front by its
@@ -1504,6 +1457,11 @@ mod tests {
     use super::*;
     use tricheck_litmus::{suite, MemOrder};
 
+    /// Runs one built-in study on the engine.
+    fn run(sweep: &Sweep, spec: MatrixSpec, tests: &[LitmusTest]) -> SweepResults {
+        sweep.run_matrix(tests, &spec.stacks())
+    }
+
     #[test]
     fn parallel_map_preserves_order() {
         let items: Vec<usize> = (0..100).collect();
@@ -1578,11 +1536,11 @@ mod tests {
             riscv_mapping(RiscvIsa::Base, SpecVersion::Curr),
             &UarchModel::wr(SpecVersion::Curr),
         );
-        let key = StackKey::Riscv {
-            isa: RiscvIsa::Base,
-            version: SpecVersion::Curr,
-        };
-        let rows = aggregate(key, "WR", &results);
+        let rows = aggregate(
+            StackKey::riscv(RiscvIsa::Base, SpecVersion::Curr),
+            "WR",
+            &results,
+        );
         assert_eq!(rows.len(), 2);
         assert_eq!(rows[0].family, "mp");
         assert_eq!(rows[0].total(), 2);
@@ -1595,7 +1553,7 @@ mod tests {
         // The acceptance contract: one compile per (test, mapping), one
         // enumeration per distinct compiled program, across all 28 cells.
         let tests: Vec<_> = suite::mp_template().instantiate_all().collect();
-        let results = Sweep::new().run_riscv(&tests);
+        let results = run(&Sweep::new(), MatrixSpec::Riscv, &tests);
         let stats = results.stats();
         assert_eq!(stats.tests, tests.len());
         assert_eq!(stats.cells, 28);
@@ -1641,7 +1599,7 @@ mod tests {
             space_sharing: SpaceSharing::Always,
             ..SweepOptions::default()
         };
-        let results = Sweep::with_options(opts).run_power(&tests);
+        let results = run(&Sweep::with_options(opts), MatrixSpec::Power, &tests);
         let stats = results.stats();
         assert_eq!(stats.tests, tests.len());
         assert_eq!(stats.cells, 4);
@@ -1670,7 +1628,7 @@ mod tests {
         // programs: no spaces are materialized at all, and the rows
         // still match the shared-space run exactly.
         let tests: Vec<_> = suite::sb_template().instantiate_all().collect();
-        let streamed = Sweep::new().run_power(&tests);
+        let streamed = run(&Sweep::new(), MatrixSpec::Power, &tests);
         assert_eq!(
             streamed.stats().distinct_programs,
             0,
@@ -1687,8 +1645,8 @@ mod tests {
         let shared = Sweep::with_options(SweepOptions {
             space_sharing: SpaceSharing::Always,
             ..SweepOptions::default()
-        })
-        .run_power(&tests);
+        });
+        let shared = run(&shared, MatrixSpec::Power, &tests);
         assert_eq!(streamed.rows(), shared.rows());
     }
 
@@ -1697,8 +1655,8 @@ mod tests {
         // RISC-V: 28 cells / 4 mappings = 7 models per mapping → shared
         // by default (the exactly-once test above relies on it); Power:
         // 4 / 2 = 2 → streamed. Pin the constant to the real matrices.
-        let riscv = riscv_stacks();
-        let power = power_stacks();
+        let riscv = MatrixSpec::Riscv.stacks();
+        let power = MatrixSpec::Power.stacks();
         assert_eq!(riscv.len(), 28);
         assert_eq!(power.len(), 4);
         assert!(riscv.len() / 4 >= SHARING_BREAK_EVEN, "Figure 15 shares");
@@ -1708,12 +1666,12 @@ mod tests {
     #[test]
     fn x86_sweep_exposes_sb_only_under_the_relaxed_mapping() {
         let tests: Vec<_> = suite::sb_template().instantiate_all().collect();
-        let results = Sweep::new().run_x86(&tests);
-        let sc = StackKey::Custom {
+        let results = run(&Sweep::new(), MatrixSpec::X86, &tests);
+        let sc = StackKey {
             isa: "x86",
             variant: "sc-atomics",
         };
-        let relaxed = StackKey::Custom {
+        let relaxed = StackKey {
             isa: "x86",
             variant: "relaxed",
         };
@@ -1723,28 +1681,33 @@ mod tests {
             1,
             "exactly the all-SC store-buffering variant slips through"
         );
-        assert_eq!(results.rows(), Sweep::new().run_x86_naive(&tests).rows());
+        let naive = Sweep::new().run_matrix_naive(&tests, &MatrixSpec::X86.stacks());
+        assert_eq!(results.rows(), naive.rows());
     }
 
     #[test]
     fn x86_matrix_is_two_data_defined_cells() {
-        let stacks = x86_stacks();
+        let stacks = MatrixSpec::X86.stacks();
         assert_eq!(stacks.len(), 2);
         for stack in &stacks {
-            assert!(matches!(stack.key, StackKey::Custom { isa: "x86", .. }));
-            assert_eq!(stack.key.isa_label(), "x86");
+            assert_eq!(stack.key.isa, "x86");
             // The TSO model is IR-only: no relaxation config behind it.
             assert!(stack.model.config().is_none());
             assert_eq!(stack.model.ir().name(), "x86-TSO");
         }
         assert!(stacks.len() / 2 < SHARING_BREAK_EVEN, "x86 matrix streams");
+        // The table title is the stack file's `title` line.
+        assert_eq!(
+            MatrixSpec::X86.title(),
+            Some("x86 mapping study: C11 → x86 mappings on TSO")
+        );
     }
 
     #[test]
-    fn x86_stacks_share_their_mappings_across_calls() {
+    fn x86_study_shares_its_mappings_across_calls() {
         // The engine and the benchmark replay group stacks by mapping
         // identity: a second call must hand out the same tables.
-        let (first, second) = (x86_stacks(), x86_stacks());
+        let (first, second) = (MatrixSpec::X86.stacks(), MatrixSpec::X86.stacks());
         for (a, b) in first.iter().zip(&second) {
             assert!(std::ptr::addr_eq(a.mapping, b.mapping));
         }
@@ -1756,12 +1719,12 @@ mod tests {
         // with RMW-compiled stores: identical rows, identical
         // exactly-once counts, strictly fewer materialized candidates.
         let tests: Vec<_> = suite::corsdwi_template().instantiate_all().collect();
-        let pruned = Sweep::new().run_riscv(&tests);
+        let pruned = run(&Sweep::new(), MatrixSpec::Riscv, &tests);
         let unpruned = Sweep::with_options(SweepOptions {
             pruning: false,
             ..SweepOptions::default()
-        })
-        .run_riscv(&tests);
+        });
+        let unpruned = run(&unpruned, MatrixSpec::Riscv, &tests);
         assert_eq!(pruned.rows(), unpruned.rows());
         assert_eq!(
             pruned.stats().distinct_programs,
@@ -1778,10 +1741,11 @@ mod tests {
     #[test]
     fn riscv_sweep_is_deterministic_across_thread_counts() {
         let tests: Vec<_> = suite::sb_template().instantiate_all().collect();
-        let serial = Sweep::with_options(SweepOptions::with_threads(1)).run_riscv(&tests);
+        let serial = Sweep::with_options(SweepOptions::with_threads(1));
+        let serial = run(&serial, MatrixSpec::Riscv, &tests);
         for threads in [2, 5] {
-            let parallel =
-                Sweep::with_options(SweepOptions::with_threads(threads)).run_riscv(&tests);
+            let parallel = Sweep::with_options(SweepOptions::with_threads(threads));
+            let parallel = run(&parallel, MatrixSpec::Riscv, &tests);
             assert_eq!(serial.rows(), parallel.rows(), "threads={threads}");
             assert_eq!(serial.stats(), parallel.stats(), "threads={threads}");
         }
@@ -1791,13 +1755,16 @@ mod tests {
     fn engine_sweep_matches_naive_sweep_on_a_family() {
         let tests: Vec<_> = suite::corr_template().instantiate_all().collect();
         let sweep = Sweep::new();
+        for spec in [MatrixSpec::Riscv, MatrixSpec::Power] {
+            assert_eq!(
+                run(&sweep, spec, &tests).rows(),
+                sweep.run_matrix_naive(&tests, &spec.stacks()).rows(),
+                "{spec:?}"
+            );
+        }
         assert_eq!(
-            sweep.run_riscv(&tests).rows(),
+            run(&sweep, MatrixSpec::Riscv, &tests).rows(),
             sweep.run_riscv_naive(&tests).rows()
-        );
-        assert_eq!(
-            sweep.run_power(&tests).rows(),
-            sweep.run_power_naive(&tests).rows()
         );
     }
 
@@ -1806,12 +1773,12 @@ mod tests {
         // For MP variants the target outcome is the only disputed one, so
         // the set-level check classifies every cell identically.
         let tests: Vec<_> = suite::mp_template().instantiate_all().collect();
-        let target = Sweep::new().run_riscv(&tests);
+        let target = run(&Sweep::new(), MatrixSpec::Riscv, &tests);
         let full = Sweep::with_options(SweepOptions {
             outcome_mode: OutcomeMode::FullOutcomes,
             ..SweepOptions::default()
-        })
-        .run_riscv(&tests);
+        });
+        let full = run(&full, MatrixSpec::Riscv, &tests);
         assert_eq!(target.rows(), full.rows());
         // And the exactly-once contract holds in outcome mode too.
         assert_eq!(
@@ -1823,23 +1790,12 @@ mod tests {
     #[test]
     fn power_rows_carry_power_keys() {
         let tests = vec![suite::sb([MemOrder::Sc; 4])];
-        let results = Sweep::new().run_power(&tests);
-        assert!(results
-            .rows()
-            .iter()
-            .all(|r| matches!(r.key, StackKey::Power { .. })));
+        let results = run(&Sweep::new(), MatrixSpec::Power, &tests);
+        // Power rows must not masquerade as RISC-V.
+        assert!(results.rows().iter().all(|r| r.key.isa == "Power"));
         // 2 styles × 2 models × 1 family.
         assert_eq!(results.rows().len(), 4);
-        assert_eq!(
-            results.rows()[0].key.isa_label(),
-            "Power",
-            "Power rows must not masquerade as RISC-V"
-        );
-        let labels: Vec<&str> = results
-            .rows()
-            .iter()
-            .map(|r| r.key.variant_label())
-            .collect();
+        let labels: Vec<&str> = results.rows().iter().map(|r| r.key.variant).collect();
         assert!(labels.contains(&"leading-sync"));
         assert!(labels.contains(&"trailing-sync"));
     }

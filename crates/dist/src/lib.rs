@@ -50,7 +50,10 @@ mod shard;
 mod store;
 
 pub use shard::{
-    run_sharded, shard_of, shard_worker_stdio, DistError, DistOptions, DistResults, MatrixSpec,
-    ShardReport, ERROR_MARKER, PROTOCOL_VERSION, RESULT_MARKER,
+    run_sharded, shard_of, shard_worker_stdio, DistError, DistOptions, DistResults, ShardReport,
+    ERROR_MARKER, PROTOCOL_VERSION, RESULT_MARKER,
 };
 pub use store::{DiskStore, StoreError, FORMAT_VERSION};
+/// The built-in studies a sharded run can name, re-exported from
+/// `tricheck-core` so `run_sharded` callers need one import.
+pub use tricheck_core::MatrixSpec;

@@ -46,8 +46,8 @@ use std::process::{Child, Command, Stdio};
 use std::sync::{Arc, Mutex, OnceLock};
 
 use tricheck_core::{
-    power_stacks, results_from_items, riscv_stacks, x86_stacks, Classification, MatrixStack,
-    OutcomeMode, SpaceStore, StoreStats, Sweep, SweepOptions, SweepResults, SweepStats,
+    results_from_items, Classification, MatrixSpec, MatrixStack, OutcomeMode, SpaceStore,
+    StoreStats, Sweep, SweepOptions, SweepResults, SweepStats,
 };
 use tricheck_litmus::codec::{self, ByteReader, CodecError};
 use tricheck_litmus::{Fingerprint, LitmusTest, MemOrder};
@@ -84,47 +84,23 @@ pub const RESULT_MARKER: &str = "TCSHARD-RESULT ";
 /// Stdout marker preceding a worker's error message.
 pub const ERROR_MARKER: &str = "TCSHARD-ERROR ";
 
-/// Which predefined sweep matrix a sharded run evaluates. Worker
-/// processes reconstruct the stacks from this tag — trait-object
-/// mappings cannot cross a process boundary.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum MatrixSpec {
-    /// The Figure 15 RISC-V matrix ([`tricheck_core::riscv_stacks`]).
-    Riscv,
-    /// The §7 Power compiler-study matrix
-    /// ([`tricheck_core::power_stacks`]).
-    Power,
-    /// The x86 mapping-study matrix ([`tricheck_core::x86_stacks`]).
-    X86,
+/// The wire tag of a built-in study. Worker processes rebuild the
+/// stacks from it: trait-object mappings cannot cross a process
+/// boundary.
+fn spec_tag(spec: MatrixSpec) -> u8 {
+    match spec {
+        MatrixSpec::Riscv => 0,
+        MatrixSpec::Power => 1,
+        MatrixSpec::X86 => 2,
+    }
 }
 
-impl MatrixSpec {
-    /// The matrix's stacks, in the same order the single-process
-    /// entry points use.
-    #[must_use]
-    pub fn stacks(self) -> Vec<MatrixStack<'static>> {
-        match self {
-            MatrixSpec::Riscv => riscv_stacks(),
-            MatrixSpec::Power => power_stacks(),
-            MatrixSpec::X86 => x86_stacks(),
-        }
-    }
-
-    fn tag(self) -> u8 {
-        match self {
-            MatrixSpec::Riscv => 0,
-            MatrixSpec::Power => 1,
-            MatrixSpec::X86 => 2,
-        }
-    }
-
-    fn from_tag(tag: u8) -> Result<Self, CodecError> {
-        match tag {
-            0 => Ok(MatrixSpec::Riscv),
-            1 => Ok(MatrixSpec::Power),
-            2 => Ok(MatrixSpec::X86),
-            _ => Err(CodecError::Invalid("matrix spec tag")),
-        }
+fn spec_from_tag(tag: u8) -> Result<MatrixSpec, CodecError> {
+    match tag {
+        0 => Ok(MatrixSpec::Riscv),
+        1 => Ok(MatrixSpec::Power),
+        2 => Ok(MatrixSpec::X86),
+        _ => Err(CodecError::Invalid("matrix spec tag")),
     }
 }
 
@@ -483,7 +459,7 @@ fn encode_job(
     let mut out = Vec::new();
     out.extend_from_slice(b"TCSJ");
     codec::put_u16(&mut out, PROTOCOL_VERSION);
-    out.push(spec.tag());
+    out.push(spec_tag(spec));
     out.push(match opts.outcome_mode {
         OutcomeMode::Target => 0,
         OutcomeMode::FullOutcomes => 1,
@@ -534,7 +510,7 @@ fn decode_job(bytes: &[u8]) -> Result<Job, String> {
     let version = r.u16().map_err(|e| format!("malformed job: {e}"))?;
     check_version("job", version)?;
     let mut inner = || -> Result<Job, CodecError> {
-        let spec = MatrixSpec::from_tag(r.u8()?)?;
+        let spec = spec_from_tag(r.u8()?)?;
         let outcome_mode = match r.u8()? {
             0 => OutcomeMode::Target,
             1 => OutcomeMode::FullOutcomes,
@@ -984,6 +960,23 @@ mod tests {
             assert_eq!(a.target(), b.target());
             assert_eq!(a.observed(), b.observed());
         }
+    }
+
+    #[test]
+    fn job_frames_pin_the_spec_wire_tags() {
+        // The tag is wire format, owned here rather than by the
+        // `MatrixSpec` type: renumbering it would change the frames.
+        let opts = DistOptions::default();
+        for (spec, tag) in [
+            (MatrixSpec::Riscv, 0),
+            (MatrixSpec::Power, 1),
+            (MatrixSpec::X86, 2),
+        ] {
+            let job = encode_job(spec, &[], &[], 1, &opts);
+            assert_eq!(job[..7], [b'T', b'C', b'S', b'J', 4, 0, tag], "{spec:?}");
+            assert_eq!(decode_job(&job).expect("roundtrip").spec, spec);
+        }
+        assert!(spec_from_tag(3).is_err());
     }
 
     #[test]

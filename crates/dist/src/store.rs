@@ -35,11 +35,12 @@
 //! # Concurrency
 //!
 //! Multiple processes (the shard workers of [`crate::run_sharded`])
-//! may share one cache directory. Space files are read-merge-written:
-//! concurrent writers of the same fingerprint race benignly — one
-//! writer's entry survives, the loser's work is recomputed on the next
-//! cold lookup. The verdict file is merged with the on-disk state at
-//! [`DiskStore::flush`] under the same last-writer-wins discipline.
+//! may share one cache directory. The verdict file is merged with the
+//! on-disk state at [`DiskStore::flush`] under the `c11.lock` advisory
+//! lock, so concurrent flushes keep each other's verdicts. Only the
+//! space files' read-merge-write is unlocked: concurrent writers of the
+//! same fingerprint race benignly — one writer's entry survives, the
+//! loser's work is recomputed on the next cold lookup.
 
 use std::collections::HashMap;
 use std::fmt;
@@ -110,13 +111,13 @@ type C11Key = (String, u64, u8);
 ///
 /// ```no_run
 /// use std::sync::Arc;
-/// use tricheck_core::{SpaceStore, Sweep, SweepOptions};
+/// use tricheck_core::{MatrixSpec, SpaceStore, Sweep, SweepOptions};
 /// use tricheck_dist::DiskStore;
 ///
 /// let store = Arc::new(DiskStore::open("./tricheck-cache")?);
 /// let opts = SweepOptions { store: Some(store.clone()), ..SweepOptions::default() };
 /// let tests = tricheck_litmus::suite::full_suite();
-/// let results = Sweep::with_options(opts).run_riscv(&tests);
+/// let results = Sweep::with_options(opts).run_matrix(&tests, &MatrixSpec::Riscv.stacks());
 /// println!("store: {}", store.stats());
 /// # Ok::<(), tricheck_dist::StoreError>(())
 /// ```

@@ -17,8 +17,8 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
 
 use proptest::prelude::*;
-use tricheck_core::{OutcomeMode, Sweep, SweepOptions};
-use tricheck_dist::{run_sharded, DistOptions, MatrixSpec};
+use tricheck_core::{MatrixSpec, OutcomeMode, Sweep, SweepOptions};
+use tricheck_dist::{run_sharded, DistOptions};
 use tricheck_litmus::{suite, LitmusTest};
 use tricheck_trace::TraceReport;
 
@@ -109,8 +109,8 @@ proptest! {
     #[test]
     fn sharded_subsets_match_single_process(tests in arb_subset()) {
         for (spec, single) in [
-            (MatrixSpec::Riscv, Sweep::new().run_riscv(&tests)),
-            (MatrixSpec::Power, Sweep::new().run_power(&tests)),
+            (MatrixSpec::Riscv, Sweep::new().run_matrix(&tests, &MatrixSpec::Riscv.stacks())),
+            (MatrixSpec::Power, Sweep::new().run_matrix(&tests, &MatrixSpec::Power.stacks())),
         ] {
             for shards in [1, 2, 4] {
                 let dist = run_sharded(spec, &tests, &probe_opts(shards))
@@ -134,7 +134,7 @@ fn sharded_power_full_suite_matches_single_process_in_both_modes() {
             outcome_mode: mode,
             ..SweepOptions::default()
         })
-        .run_power(tests);
+        .run_matrix(tests, &MatrixSpec::Power.stacks());
         let opts = DistOptions {
             outcome_mode: mode,
             ..probe_opts(2)
@@ -156,7 +156,7 @@ fn sharded_power_full_suite_matches_single_process_in_both_modes() {
 #[test]
 fn sharded_riscv_full_suite_matches_single_process() {
     let tests = cached_suite();
-    let single = Sweep::new().run_riscv(tests);
+    let single = Sweep::new().run_matrix(tests, &MatrixSpec::Riscv.stacks());
     let dist = run_sharded(MatrixSpec::Riscv, tests, &probe_opts(2)).expect("sharded run");
     assert_eq!(dist.results.rows(), single.rows());
     assert_eq!(dist.results.grand_total_bugs(), single.grand_total_bugs());
@@ -178,7 +178,7 @@ fn warm_store_extends_exactly_once_across_processes() {
         cache_dir: Some(dir.path().to_path_buf()),
         ..probe_opts(3)
     };
-    let single = Sweep::new().run_power(&tests);
+    let single = Sweep::new().run_matrix(&tests, &MatrixSpec::Power.stacks());
 
     let cold = run_sharded(MatrixSpec::Power, &tests, &opts).expect("cold run");
     assert_eq!(cold.results.rows(), single.rows(), "cold == single-process");
@@ -298,7 +298,12 @@ fn single_shard_never_spawns_a_worker() {
         ..DistOptions::default()
     };
     let dist = run_sharded(MatrixSpec::Power, &tests, &opts).expect("in-process run");
-    assert_eq!(dist.results.rows(), Sweep::new().run_power(&tests).rows());
+    assert_eq!(
+        dist.results.rows(),
+        Sweep::new()
+            .run_matrix(&tests, &MatrixSpec::Power.stacks())
+            .rows()
+    );
     assert_eq!(dist.shards.len(), 1);
 }
 

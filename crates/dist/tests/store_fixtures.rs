@@ -8,7 +8,7 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use tricheck_core::{SpaceStore, Sweep, SweepOptions, SweepResults};
+use tricheck_core::{MatrixSpec, SpaceStore, Sweep, SweepOptions, SweepResults};
 use tricheck_dist::DiskStore;
 use tricheck_litmus::{suite, LitmusTest};
 
@@ -45,7 +45,7 @@ fn run_with_store(tests: &[LitmusTest], store: &Arc<DiskStore>) -> SweepResults 
         store: Some(Arc::clone(store) as Arc<dyn SpaceStore>),
         ..SweepOptions::default()
     };
-    Sweep::with_options(opts).run_power(tests)
+    Sweep::with_options(opts).run_matrix(tests, &MatrixSpec::Power.stacks())
 }
 
 fn space_files(dir: &Path) -> Vec<PathBuf> {
@@ -62,7 +62,7 @@ fn populate(dir: &Path, tests: &[LitmusTest]) -> SweepResults {
     let store = Arc::new(DiskStore::open(dir).expect("open store"));
     let cold = run_with_store(tests, &store);
     assert!(store.stats().writes > 0, "cold run must populate the cache");
-    let baseline = Sweep::new().run_power(tests);
+    let baseline = Sweep::new().run_matrix(tests, &MatrixSpec::Power.stacks());
     assert_eq!(cold.rows(), baseline.rows(), "cold cached run == storeless");
     baseline
 }
@@ -100,7 +100,7 @@ fn views_derived_from_restored_spaces_are_persisted() {
         store: Some(Arc::clone(&store) as Arc<dyn SpaceStore>),
         ..SweepOptions::default()
     };
-    let _ = Sweep::with_options(opts).run_power(&tests);
+    let _ = Sweep::with_options(opts).run_matrix(&tests, &MatrixSpec::Power.stacks());
 
     // Warm target-mode run: matching views are *derived* from the
     // restored full lists (zero enumerations) — and must still be

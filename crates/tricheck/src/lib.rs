@@ -69,8 +69,11 @@
 //!   exactly-once contract, and `SweepOptions { threads: 1 }` degrades
 //!   to a fully deterministic serial run.
 //!
+//! A sweep is a list of [`core::MatrixStack`]s: [`core::MatrixSpec`]
+//! names the built-in lists (Figure 15, the §7 compiler study, the x86
+//! study) and [`core::load_stack_file`] reads more from stack files.
 //! The pre-engine per-cell pipeline survives as
-//! [`core::Sweep::run_riscv_naive`], used by the differential tests in
+//! [`core::Sweep::run_matrix_naive`], used by the differential tests in
 //! `tests/engine_equivalence.rs` and the `pipeline` benchmark.
 
 #![forbid(unsafe_code)]

@@ -35,7 +35,7 @@ proptest! {
     fn shared_engine_sweep_matches_naive_recompute(tests in arb_subset()) {
         let naive = Sweep::with_options(SweepOptions::with_threads(1)).run_riscv_naive(&tests);
         for threads in [1, 4] {
-            let engine = Sweep::with_options(SweepOptions::with_threads(threads)).run_riscv(&tests);
+            let engine = Sweep::with_options(SweepOptions::with_threads(threads)).run_matrix(&tests, &MatrixSpec::Riscv.stacks());
             prop_assert!(
                 engine.rows() == naive.rows(),
                 "engine (threads={threads}) diverged from naive recompute"
@@ -109,7 +109,7 @@ fn uarch_witness_search_agrees_with_full_enumeration() {
 #[test]
 fn full_suite_sweep_upholds_cache_contract() {
     let tests = suite::full_suite();
-    let results = Sweep::new().run_riscv(&tests);
+    let results = Sweep::new().run_matrix(&tests, &MatrixSpec::Riscv.stacks());
     let stats = results.stats();
     assert_eq!(stats.tests, 1701);
     assert_eq!(stats.cells, 28);
@@ -119,9 +119,9 @@ fn full_suite_sweep_upholds_cache_contract() {
     assert!(stats.distinct_programs < stats.compile_calls);
     // And the headline number still falls out of the cached pipeline:
     // 144 forbidden-yet-observable outcomes on A9like / Base+A / curr.
-    let key = StackKey::Riscv {
-        isa: RiscvIsa::BaseA,
-        version: SpecVersion::Curr,
+    let key = StackKey {
+        isa: "Base+A",
+        variant: "riscv-curr",
     };
     let a9_bugs = results.bugs_for(key, "A9like");
     assert_eq!(a9_bugs, 144);
@@ -144,7 +144,7 @@ fn never_sharing_streams_figure15_groups_with_identical_rows() {
                 space_sharing,
                 ..SweepOptions::default()
             })
-            .run_riscv(&tests)
+            .run_matrix(&tests, &MatrixSpec::Riscv.stacks())
         };
         let (shared, streamed) = (sweep(SpaceSharing::Auto), sweep(SpaceSharing::Never));
         assert_eq!(streamed.rows(), shared.rows(), "{outcome_mode:?}");

@@ -12,10 +12,14 @@ use std::fmt::Write as _;
 use std::path::PathBuf;
 
 use tricheck::compiler::{order_word, CompileError};
-use tricheck::core::x86_stacks;
 use tricheck::litmus::codec::fnv1a;
 use tricheck::litmus::{Expr, Instr, Reg, RmwKind};
 use tricheck::prelude::*;
+
+/// A built-in study's mapping-study table, under the study's title.
+fn study_table(results: &SweepResults, spec: MatrixSpec) -> String {
+    report::stack_table(results, spec.title().expect("a mapping study"))
+}
 
 fn fixture_path(name: &str) -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))
@@ -64,7 +68,7 @@ fn assert_matches_fixture(name: &str, actual: &str) {
 /// per-family counts) matches the committed table.
 #[test]
 fn figure15_rows_match_committed_fixture() {
-    let results = Sweep::new().run_riscv(&suite::full_suite());
+    let results = Sweep::new().run_matrix(&suite::full_suite(), &MatrixSpec::Riscv.stacks());
     assert_matches_fixture("figure15_rows.csv", &report::to_csv(&results));
 }
 
@@ -73,8 +77,8 @@ fn figure15_rows_match_committed_fixture() {
 /// aggregate form.
 #[test]
 fn sec7_counterexample_counts_match_committed_fixture() {
-    let results = Sweep::new().run_power(&suite::full_suite());
-    let mut out = report::power_table(&results);
+    let results = Sweep::new().run_matrix(&suite::full_suite(), &MatrixSpec::Power.stacks());
+    let mut out = study_table(&results, MatrixSpec::Power);
     out.push('\n');
     out.push_str(&report::to_csv(&results));
     assert_matches_fixture("sec7_power_rows.txt", &out);
@@ -87,8 +91,8 @@ fn sec7_counterexample_counts_match_committed_fixture() {
 /// mapping — and zero bugs under the standard SC-atomics mapping.
 #[test]
 fn x86_tso_rows_match_committed_fixture() {
-    let results = Sweep::new().run_x86(&suite::full_suite());
-    let mut out = report::x86_table(&results);
+    let results = Sweep::new().run_matrix(&suite::full_suite(), &MatrixSpec::X86.stacks());
+    let mut out = study_table(&results, MatrixSpec::X86);
     out.push('\n');
     out.push_str(&report::to_csv(&results));
     assert_matches_fixture("x86_tso_rows.txt", &out);
@@ -96,11 +100,11 @@ fn x86_tso_rows_match_committed_fixture() {
     // The headline claims, asserted directly so a fixture regeneration
     // cannot silently launder them away.
     use tricheck::core::StackKey;
-    let sc = StackKey::Custom {
+    let sc = StackKey {
         isa: "x86",
         variant: "sc-atomics",
     };
-    let relaxed = StackKey::Custom {
+    let relaxed = StackKey {
         isa: "x86",
         variant: "relaxed",
     };
@@ -179,7 +183,12 @@ fn builtin_mappings_match_committed_fixture() {
         }
     }
     mappings.extend(PowerSyncStyle::ALL.map(power_mapping));
-    mappings.extend(x86_stacks().into_iter().map(|stack| stack.mapping));
+    mappings.extend(
+        MatrixSpec::X86
+            .stacks()
+            .into_iter()
+            .map(|stack| stack.mapping),
+    );
     let tests = suite::full_suite();
     let actual: String = mappings
         .into_iter()

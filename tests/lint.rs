@@ -21,7 +21,7 @@
 use std::path::{Path, PathBuf};
 
 use proptest::prelude::*;
-use tricheck::core::{lint_path, parse_stack_file, power_stacks, riscv_stacks, x86_stacks};
+use tricheck::core::{lint_path, parse_stack_file, MatrixSpec};
 use tricheck::rel::ir::{AxiomKind, ModelIr, RelExpr, SetExpr};
 use tricheck::rel::lint::{lint_model, MODEL_RULES, RULES};
 use tricheck::rel::{parse_model_spanned, BaseRelations, Severity};
@@ -161,10 +161,9 @@ fn committed_model_files_lint_clean() {
 #[test]
 fn all_builtin_stacks_lint_clean() {
     let schema = hw_lint_schema();
-    let stacks: Vec<_> = riscv_stacks()
+    let stacks: Vec<_> = [MatrixSpec::Riscv, MatrixSpec::Power, MatrixSpec::X86]
         .into_iter()
-        .chain(power_stacks())
-        .chain(x86_stacks())
+        .flat_map(MatrixSpec::stacks)
         .collect();
     assert_eq!(stacks.len(), 34, "the registered matrices hold 34 stacks");
     for stack in &stacks {

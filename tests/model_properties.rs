@@ -68,7 +68,10 @@ fn full_suite_sweeps_are_identical_with_and_without_pruning() {
         pruning: false,
         ..SweepOptions::default()
     });
-    let (a, b) = (pruned.run_riscv(&tests), unpruned.run_riscv(&tests));
+    let (a, b) = (
+        pruned.run_matrix(&tests, &MatrixSpec::Riscv.stacks()),
+        unpruned.run_matrix(&tests, &MatrixSpec::Riscv.stacks()),
+    );
     assert_eq!(a.rows(), b.rows(), "Figure 15 rows must not move");
     assert_eq!(a.stats().distinct_programs, b.stats().distinct_programs);
     assert_eq!(a.stats().space_enumerations, b.stats().space_enumerations);
@@ -83,7 +86,10 @@ fn full_suite_sweeps_are_identical_with_and_without_pruning() {
         "the compiled path must be active"
     );
 
-    let (a, b) = (pruned.run_power(&tests), unpruned.run_power(&tests));
+    let (a, b) = (
+        pruned.run_matrix(&tests, &MatrixSpec::Power.stacks()),
+        unpruned.run_matrix(&tests, &MatrixSpec::Power.stacks()),
+    );
     assert_eq!(a.rows(), b.rows(), "§7 rows must not move");
 
     // Full-outcome mode exercises the other verdict surface
@@ -98,8 +104,8 @@ fn full_suite_sweeps_are_identical_with_and_without_pruning() {
         ..SweepOptions::default()
     });
     let (a, b) = (
-        pruned_full.run_riscv(&tests),
-        unpruned_full.run_riscv(&tests),
+        pruned_full.run_matrix(&tests, &MatrixSpec::Riscv.stacks()),
+        unpruned_full.run_matrix(&tests, &MatrixSpec::Riscv.stacks()),
     );
     assert_eq!(a.rows(), b.rows(), "full-outcome rows must not move");
     assert_eq!(b.stats().candidates_pruned, 0);
@@ -164,7 +170,7 @@ proptest! {
             }
         }
         groups.push((power_mapping(PowerSyncStyle::Leading), UarchModel::all_armv7()));
-        for stack in tricheck::core::x86_stacks() {
+        for stack in MatrixSpec::X86.stacks() {
             groups.push((stack.mapping, vec![stack.model]));
         }
         for (mapping, models) in &groups {

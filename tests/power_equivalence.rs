@@ -1,9 +1,9 @@
 //! Differential tests locking the generalized sweep engine to its naive
 //! oracles on the §7 compiler-study paths:
 //!
-//! - `run_power` (the cached {leading,trailing}-sync × ARMv7 sweep) must
-//!   be observationally identical to the naive per-cell recompute, at
-//!   any thread count;
+//! - the cached sweep of `MatrixSpec::Power` ({leading,trailing}-sync ×
+//!   ARMv7) must be observationally identical to the naive per-cell
+//!   recompute, at any thread count;
 //! - the full-outcome-set sweep mode (`OutcomeMode::FullOutcomes`) must
 //!   agree with `verify_full`-style per-call streaming enumeration on
 //!   every test of the 1,701-test suite.
@@ -12,8 +12,16 @@ use std::collections::BTreeMap;
 use std::sync::OnceLock;
 
 use proptest::prelude::*;
-use tricheck::core::{power_stacks, x86_stacks, SweepStats};
+use tricheck::core::SweepStats;
 use tricheck::prelude::*;
+
+/// The §7 study's row key for one sync placement style.
+fn power_key(style: PowerSyncStyle) -> StackKey {
+    StackKey {
+        isa: "Power",
+        variant: style.label(),
+    }
+}
 
 /// The 1,701-test suite, instantiated once for every property case.
 fn cached_suite() -> &'static [LitmusTest] {
@@ -40,12 +48,12 @@ proptest! {
     /// thread count.
     #[test]
     fn power_engine_sweep_matches_naive_recompute(tests in arb_subset()) {
-        let naive = Sweep::with_options(SweepOptions::with_threads(1)).run_power_naive(&tests);
+        let naive = Sweep::with_options(SweepOptions::with_threads(1)).run_matrix_naive(&tests, &MatrixSpec::Power.stacks());
         for threads in [1, 4] {
-            let engine = Sweep::with_options(SweepOptions::with_threads(threads)).run_power(&tests);
+            let engine = Sweep::with_options(SweepOptions::with_threads(threads)).run_matrix(&tests, &MatrixSpec::Power.stacks());
             prop_assert!(
                 engine.rows() == naive.rows(),
-                "run_power (threads={threads}) diverged from naive recompute"
+                "engine sweep (threads={threads}) diverged from naive recompute"
             );
         }
     }
@@ -60,24 +68,24 @@ proptest! {
             outcome_mode: OutcomeMode::FullOutcomes,
             ..SweepOptions::default()
         };
-        let naive = Sweep::with_options(serial).run_power_naive(&tests);
+        let naive = Sweep::with_options(serial).run_matrix_naive(&tests, &MatrixSpec::Power.stacks());
         for threads in [1, 4] {
             let opts = SweepOptions {
                 threads,
                 outcome_mode: OutcomeMode::FullOutcomes,
                 ..SweepOptions::default()
             };
-            let engine = Sweep::with_options(opts).run_power(&tests);
+            let engine = Sweep::with_options(opts).run_matrix(&tests, &MatrixSpec::Power.stacks());
             prop_assert!(
                 engine.rows() == naive.rows(),
-                "outcome-mode run_power (threads={threads}) diverged from naive recompute"
+                "outcome-mode engine sweep (threads={threads}) diverged from naive recompute"
             );
         }
     }
 }
 
-/// The §7 acceptance criterion: over the full 1,701-test suite,
-/// `run_power` produces exactly the counterexample counts of the naive
+/// The §7 acceptance criterion: over the full 1,701-test suite, the
+/// engine sweep produces exactly the counterexample counts of the naive
 /// per-cell study. The 4-cell Power matrix sits below the
 /// space-sharing break-even, so the default sweep streams each
 /// (test, mapping) through its fused judge (no spaces materialized at
@@ -89,8 +97,8 @@ proptest! {
 fn full_suite_power_sweep_matches_naive_and_upholds_contract() {
     let tests = suite::full_suite();
     let sweep = Sweep::new();
-    let engine = sweep.run_power(&tests);
-    let naive = sweep.run_power_naive(&tests);
+    let engine = sweep.run_matrix(&tests, &MatrixSpec::Power.stacks());
+    let naive = sweep.run_matrix_naive(&tests, &MatrixSpec::Power.stacks());
     assert_eq!(engine.rows(), naive.rows());
 
     let stats = engine.stats();
@@ -112,7 +120,7 @@ fn full_suite_power_sweep_matches_naive_and_upholds_contract() {
         "below the break-even the streaming path materializes nothing"
     );
     assert_eq!(stats.space_enumerations, 0);
-    assert_streaming_work(&tests, &power_stacks(), stats);
+    assert_streaming_work(&tests, &MatrixSpec::Power.stacks(), stats);
 
     // Forced sharing: the pre-break-even engine, whose stats prove the
     // exactly-once contract — each distinct Power program enumerated
@@ -121,7 +129,7 @@ fn full_suite_power_sweep_matches_naive_and_upholds_contract() {
         space_sharing: SpaceSharing::Always,
         ..SweepOptions::default()
     })
-    .run_power(&tests);
+    .run_matrix(&tests, &MatrixSpec::Power.stacks());
     assert_eq!(shared.rows(), naive.rows(), "sharing must not change rows");
     let stats = shared.stats();
     assert_eq!(
@@ -134,27 +142,12 @@ fn full_suite_power_sweep_matches_naive_and_upholds_contract() {
     // The paper's §7 finding, via the cached sweep: the trailing-sync
     // mapping is invalidated on the compliant ARMv7-A9like machine while
     // leading-sync survives.
-    let leading = engine.bugs_for(
-        StackKey::Power {
-            style: PowerSyncStyle::Leading,
-        },
-        "ARMv7-A9like",
-    );
-    let trailing = engine.bugs_for(
-        StackKey::Power {
-            style: PowerSyncStyle::Trailing,
-        },
-        "ARMv7-A9like",
-    );
+    let leading = engine.bugs_for(power_key(PowerSyncStyle::Leading), "ARMv7-A9like");
+    let trailing = engine.bugs_for(power_key(PowerSyncStyle::Trailing), "ARMv7-A9like");
     assert_eq!(leading, 0, "leading-sync must survive on ARMv7-A9like");
     assert!(trailing > 0, "trailing-sync must be invalidated");
     // And the load→load-hazard machine breaks even leading-sync (§1–§2).
-    let hazard = engine.bugs_for(
-        StackKey::Power {
-            style: PowerSyncStyle::Leading,
-        },
-        "ARMv7-A9-ldld-hazard",
-    );
+    let hazard = engine.bugs_for(power_key(PowerSyncStyle::Leading), "ARMv7-A9-ldld-hazard");
     assert!(hazard > 0, "the A9 erratum must surface under leading-sync");
 }
 
@@ -163,12 +156,17 @@ fn full_suite_power_sweep_matches_naive_and_upholds_contract() {
 #[test]
 fn full_suite_x86_sweep_streams_once_per_test_and_mapping() {
     let tests = suite::full_suite();
-    let engine = Sweep::new().run_x86(&tests);
-    assert_eq!(engine.rows(), Sweep::new().run_x86_naive(&tests).rows());
+    let engine = Sweep::new().run_matrix(&tests, &MatrixSpec::X86.stacks());
+    assert_eq!(
+        engine.rows(),
+        Sweep::new()
+            .run_matrix_naive(&tests, &MatrixSpec::X86.stacks())
+            .rows()
+    );
     let stats = engine.stats();
     assert_eq!(stats.compile_calls, 1701 * 2);
     assert_eq!(stats.distinct_programs, 0);
-    assert_streaming_work(&tests, &x86_stacks(), stats);
+    assert_streaming_work(&tests, &MatrixSpec::X86.stacks(), stats);
 }
 
 /// Pins a target-mode streaming sweep's µarch work: one fused stream —
@@ -253,7 +251,7 @@ fn outcome_mode_agrees_with_per_call_enumeration_on_full_suite() {
         outcome_mode: OutcomeMode::FullOutcomes,
         ..SweepOptions::default()
     };
-    let engine = Sweep::with_options(opts).run_power(&tests);
+    let engine = Sweep::with_options(opts).run_matrix(&tests, &MatrixSpec::Power.stacks());
 
     // The C11 permitted sets, once per test via the streaming free
     // function (deliberately NOT the space engine).
@@ -264,7 +262,7 @@ fn outcome_mode_agrees_with_per_call_enumeration_on_full_suite() {
         let mapping = power_mapping(style);
         for model in UarchModel::all_armv7() {
             let oracle = streaming_oracle_rows(&tests, &permitted, mapping, &model);
-            let key = StackKey::Power { style };
+            let key = power_key(style);
             for (family, (bugs, strict, equivalent)) in oracle {
                 let row = engine
                     .row(key, model.name(), family)

@@ -72,7 +72,7 @@ proptest! {
                     outcome_mode: mode,
                     ..SweepOptions::default()
                 })
-                .run_riscv(&tests)
+                .run_matrix(&tests, &MatrixSpec::Riscv.stacks())
             };
             let serial = run(1);
             let parallel = run(4);
@@ -129,7 +129,7 @@ fn full_suite_prunes_exactly_the_pinned_branch_count() {
             outcome_mode: OutcomeMode::FullOutcomes,
             ..SweepOptions::default()
         })
-        .run_riscv(&tests)
+        .run_matrix(&tests, &MatrixSpec::Riscv.stacks())
         .stats()
     };
     let serial = stats_for(1);

@@ -9,16 +9,14 @@
 //! 2. **Bit-identity**: sweeping the committed `models/x86-tso.stack`
 //!    file through `--stack`'s path ([`load_stack_file`] and
 //!    [`report::stack_table`]) reproduces the x86 study's golden fixture
-//!    byte-for-byte. The file *is* the built-in study (`x86_stacks`
-//!    embeds it), and `models/x86-tso.cat` is the only other text of its
+//!    byte-for-byte. The file *is* the built-in study
+//!    (`MatrixSpec::X86` embeds it), and `models/x86-tso.cat` is the only other text of its
 //!    model: the two must parse to the same IR.
 
 use std::path::Path;
 
 use proptest::prelude::*;
-use tricheck::core::{
-    load_model_file, load_stack_file, power_stacks, report, riscv_stacks, x86_stacks, Sweep,
-};
+use tricheck::core::{load_model_file, load_stack_file, report, MatrixSpec, Sweep};
 use tricheck::litmus::suite;
 use tricheck::rel::ir::{AxiomKind, ModelIr, RelExpr, SetExpr};
 use tricheck::rel::parse_model;
@@ -50,7 +48,7 @@ fn x86_tso_cat_and_stack_model_section_are_one_model() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR"));
     let cat = load_model_file(&root.join("models/x86-tso.cat")).expect("x86-tso.cat loads");
     let loaded = load_stack_file(&root.join("models/x86-tso.stack")).expect("stack loads");
-    let builtin = x86_stacks();
+    let builtin = MatrixSpec::X86.stacks();
     for stack in loaded.stacks.iter().chain(&builtin) {
         assert_eq!(stack.model.ir(), &cat, "{}", stack.mapping.name());
     }
@@ -61,10 +59,9 @@ fn x86_tso_cat_and_stack_model_section_are_one_model() {
 #[test]
 fn every_registered_stack_ir_roundtrips_through_the_parser() {
     let vocab = hw_vocabulary();
-    let stacks: Vec<_> = riscv_stacks()
+    let stacks: Vec<_> = [MatrixSpec::Riscv, MatrixSpec::Power, MatrixSpec::X86]
         .into_iter()
-        .chain(power_stacks())
-        .chain(x86_stacks())
+        .flat_map(MatrixSpec::stacks)
         .collect();
     assert_eq!(stacks.len(), 34, "the registered matrices hold 34 stacks");
     for stack in &stacks {
